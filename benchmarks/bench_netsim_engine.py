@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from conftest import record
 
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
+from repro.netsim.budget import route_cache_budget_bytes
 from repro.netsim.contention import round_time
 from repro.netsim.engine import VECTOR, as_placement, reset_route_cache, route_cache_stats
 from repro.netsim.traffic import route_messages
-from repro.perfsim.profiling import netsim_profile
 from repro.runtime.halo import HaloSpec, halo_messages
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.machines import BLUE_GENE_P
@@ -96,8 +97,10 @@ def test_netsim_engine_speedup():
         "vector_warm_s": warm_s,
         "speedup_cold": round(speedup_cold, 2),
         "speedup_warm": round(speedup_warm, 2),
-        "route_cache": {"hits": cache.hits, "misses": cache.misses},
-        "netsim_profile": netsim_profile(),
+        "route_cache": {
+            **asdict(cache),
+            "budget_bytes": route_cache_budget_bytes(),
+        },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 

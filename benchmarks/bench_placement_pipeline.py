@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from repro.core.mapping.metrics import nest_and_parent_metrics
 from repro.core.mapping.base import SlotSpace
 from repro.core.scheduler.strategies import ParallelSiblingsStrategy
 from repro.exec.placementcache import placement_cache_stats, reset_placement_cache
-from repro.perfsim.profiling import placement_profile
+from repro.netsim.budget import placement_cache_budget_bytes
 from repro.perfsim.simulate import simulate_iteration
 from repro.runtime.halo import HaloSpec
 from repro.topology.machines import BLUE_GENE_P
@@ -214,7 +215,7 @@ def test_warm_simulate_iteration_speedup():
         iterate()  # re-prime after the scalar passes cleared the cache
         warm_s = _best_of(iterate, repeats=3)
         cache = placement_cache_stats()
-        profile = placement_profile()
+        budget = placement_cache_budget_bytes()
     speedup = scalar_s / warm_s
 
     _append(
@@ -227,8 +228,7 @@ def test_warm_simulate_iteration_speedup():
             "vector_warm_s": warm_s,
             "speedup": round(speedup, 2),
             "floor": SIMULATE_FLOOR,
-            "placement_cache": {"hits": cache.hits, "misses": cache.misses},
-            "placement_profile": profile,
+            "placement_cache": {**asdict(cache), "budget_bytes": budget},
         }
     )
     record(

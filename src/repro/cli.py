@@ -381,11 +381,7 @@ def _cmd_serve(args) -> int:
         raise ConfigurationError(
             f"--pool-size must be >= 1, got {args.pool_size}"
         )
-    policy = ServicePolicy(
-        plan_ttl_s=args.cache_ttl,
-        placement_ttl_s=args.cache_ttl,
-        route_ttl_s=args.cache_ttl,
-    )
+    policy = ServicePolicy(cache_ttl_s=args.cache_ttl)
     if args.shards > 0:
         return _serve_sharded(args, policy)
     state = ServiceState(policy)

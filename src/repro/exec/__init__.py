@@ -5,6 +5,9 @@ with local cores without changing a single result:
 
 * :mod:`repro.exec.pool` — :class:`SweepRunner`, the process-pool fan-out
   with order-preserving results and deterministic metric merging;
+* :mod:`repro.exec.cache` — :class:`BoundedCache`, the one locked,
+  bounded LRU (with TTL and registry-mirrored counters) behind the plan,
+  placement and route caches;
 * :mod:`repro.exec.plancache` — memoized execution plans keyed by
   ``(grid dims, sibling signature, ratios digest)``;
 * :mod:`repro.exec.placementcache` — memoized placements keyed by
@@ -16,27 +19,24 @@ with local cores without changing a single result:
   workers with sticky affinity routing for *stateful* residents (the
   ensemble fabric's members), inline at ``jobs=1``.
 
-Both caches evict against byte budgets derived from
+The placement and route caches evict against byte budgets derived from
 ``REPRO_NETSIM_MEM_MB`` (:mod:`repro.netsim.budget`), so residency
 scales with the configured memory, not the rank count. See
 ``docs/parallel.md`` for the determinism contract and when *not* to
 use workers.
 """
 
+from repro.exec.cache import BoundedCache, CacheStats, clear_caches, set_cache_policy
 from repro.exec.placementcache import (
-    PlacementCacheStats,
     cached_placement,
     placement_cache_stats,
     reset_placement_cache,
-    set_placement_cache_policy,
 )
 from repro.exec.plancache import (
-    PlanCacheStats,
     parallel_plan,
     plan_cache_stats,
     reset_plan_cache,
     sequential_plan,
-    set_plan_cache_policy,
 )
 from repro.exec.pool import SweepResult, SweepRunner, run_sweep
 from repro.exec.procs import SupervisedProcess, WorkerSpawnError
@@ -59,15 +59,15 @@ __all__ = [
     "AffinityWorkQueue",
     "SupervisedProcess",
     "WorkerSpawnError",
-    "PlanCacheStats",
+    "BoundedCache",
+    "CacheStats",
+    "clear_caches",
+    "set_cache_policy",
     "sequential_plan",
     "parallel_plan",
     "plan_cache_stats",
     "reset_plan_cache",
-    "set_plan_cache_policy",
-    "PlacementCacheStats",
     "cached_placement",
     "placement_cache_stats",
     "reset_placement_cache",
-    "set_placement_cache_policy",
 ]

@@ -12,65 +12,38 @@ memoized behind a keyed LRU cache:
     signature) -> Placement
 
 Cached placements are frozen dataclasses, shared rather than copied.
-The cache is **per process**: every pool worker warms its own copy.
 
 Eviction is **byte-budgeted**, not entry-counted: a 131k-rank placement
 is ~3 MB resident while a 512-rank one is ~12 kB, so a fixed entry cap
 would let residency grow with the rank count. The budget comes from
 :func:`repro.netsim.budget.placement_cache_budget_bytes`
 (``REPRO_PLACEMENT_CACHE_MB``, default an eighth of
-``REPRO_NETSIM_MEM_MB``) and is re-read on every insert; entries are
-evicted LRU-first past it, and an entry larger than the whole budget is
-never retained.
-
-Unlike the plan cache, the hit/miss/eviction counters are mirrored into
-the observability registry (``exec.placement_cache.*``, the route-cache
-pattern): the plain attributes stay the source of truth and
-:func:`repro.exec.pool._reset_task_state` clears the cache per task, so
-per-task metric capture and the counters can never desynchronise.
-
-Every operation (including :func:`reset_placement_cache`) holds one
-lock, so the planning service can reset or retune the cache while
-recommend sweeps are mid-flight; :func:`set_placement_cache_policy`
-optionally gives entries a TTL on an injectable monotonic clock (the
-same policy shape as the plan cache).
+``REPRO_NETSIM_MEM_MB``). The cache is one
+:class:`~repro.exec.cache.BoundedCache` (``exec.placement_cache``):
+eviction, TTL, locking, counters and their registry mirror are
+documented there.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
+from repro.exec.cache import BoundedCache
 from repro.netsim.budget import placement_cache_budget_bytes
-from repro.obs.metrics import counter as _obs_counter
-from repro.obs.metrics import gauge as _obs_gauge
 from repro.runtime.process_grid import GridRect, ProcessGrid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mapping.base import Mapping, Placement, SlotSpace
 
 __all__ = [
-    "PlacementCacheStats",
     "cached_placement",
     "placement_cache_stats",
     "reset_placement_cache",
-    "set_placement_cache_policy",
 ]
 
 PlacementKey = Tuple[
     str, int, int, Tuple[int, int, int], int, Optional[Tuple[GridRect, ...]]
 ]
-
-# Bound once at import; registry resets zero these in place, so the
-# references never go stale (same contract as the netsim route cache).
-_HITS = _obs_counter("exec.placement_cache.hits")
-_MISSES = _obs_counter("exec.placement_cache.misses")
-_EVICTIONS = _obs_counter("exec.placement_cache.evictions")
-_EXPIRED = _obs_counter("exec.placement_cache.expired")
-_CACHE_BYTES = _obs_gauge("exec.placement_cache.resident_bytes")
 
 #: Rough per-slot overhead of the tuple-of-tuples form of a placement
 #: (tuple headers + small-int boxing) on top of the coordinate array.
@@ -88,126 +61,17 @@ def _placement_nbytes(placement: "Placement") -> int:
     return arr.nbytes * 2 + len(placement.slots) * _SLOT_OVERHEAD_BYTES
 
 
-@dataclass(frozen=True)
-class PlacementCacheStats:
-    """Placement-cache counters for reports and benchmarks."""
+_PLACEMENT_CACHE = BoundedCache(
+    "exec.placement_cache",
+    maxsize=512,
+    budget_bytes=placement_cache_budget_bytes,
+    sizeof=_placement_nbytes,
+)
 
-    hits: int
-    misses: int
-    entries: int
-    evictions: int = 0
-    resident_bytes: int = 0
-    #: Lookups that found an entry past its TTL (also counted as misses).
-    expired: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class _PlacementCache:
-    """Byte-budgeted LRU of placements (same shape as the route cache).
-
-    Every operation holds ``_lock``: the planning service runs lookups
-    from many request threads and may reset mid-flight.
-    """
-
-    def __init__(self, maxsize: int = 512):
-        self.maxsize = maxsize
-        self._data: "OrderedDict[PlacementKey, Tuple[Placement, int, float]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.expired = 0
-        self.bytes = 0
-        self.ttl_s: Optional[float] = None
-        self._clock: Callable[[], float] = time.monotonic
-        self._lock = threading.Lock()
-
-    def get(self, key: PlacementKey) -> "Optional[Placement]":
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is not None and self.ttl_s is not None:
-                if self._clock() - entry[2] > self.ttl_s:
-                    del self._data[key]
-                    self.bytes -= entry[1]
-                    self.expired += 1
-                    _EXPIRED.inc()
-                    _CACHE_BYTES.set(self.bytes)
-                    entry = None
-            if entry is None:
-                self.misses += 1
-                _MISSES.inc()
-                return None
-            self.hits += 1
-            _HITS.inc()
-            self._data.move_to_end(key)
-            return entry[0]
-
-    def put(self, key: PlacementKey, value: "Placement") -> None:
-        nbytes = _placement_nbytes(value)
-        budget = placement_cache_budget_bytes()
-        with self._lock:
-            if nbytes > budget:
-                # Larger than the whole budget: hand it out, never retain it.
-                self.evictions += 1
-                _EVICTIONS.inc()
-                return
-            old = self._data.pop(key, None)
-            if old is not None:
-                self.bytes -= old[1]
-            self._data[key] = (value, nbytes, self._clock())
-            self.bytes += nbytes
-            while self._data and (
-                len(self._data) > self.maxsize or self.bytes > budget
-            ):
-                _, (_, evicted_nbytes, _) = self._data.popitem(last=False)
-                self.bytes -= evicted_nbytes
-                self.evictions += 1
-                _EVICTIONS.inc()
-            _CACHE_BYTES.set(self.bytes)
-
-    def stats(self) -> PlacementCacheStats:
-        with self._lock:
-            return PlacementCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                entries=len(self._data),
-                evictions=self.evictions,
-                resident_bytes=self.bytes,
-                expired=self.expired,
-            )
-
-    def set_policy(
-        self,
-        ttl_s: Optional[float],
-        clock: Optional[Callable[[], float]],
-    ) -> None:
-        with self._lock:
-            if ttl_s is not None and ttl_s <= 0:
-                raise ValueError(f"ttl_s must be > 0 or None, got {ttl_s}")
-            self.ttl_s = ttl_s
-            self._clock = clock or time.monotonic
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.expired = 0
-            self.bytes = 0
-            _HITS.reset()
-            _MISSES.reset()
-            _EVICTIONS.reset()
-            _EXPIRED.reset()
-            _CACHE_BYTES.reset()
-
-
-_PLACEMENT_CACHE = _PlacementCache()
+#: Current placement-cache counters.
+placement_cache_stats = _PLACEMENT_CACHE.stats
+#: Drop all cached placements and zero the counters (tests, benchmarks).
+reset_placement_cache = _PLACEMENT_CACHE.clear
 
 
 def _key(
@@ -244,34 +108,3 @@ def cached_placement(
         placement = mapping.place(grid, space, rects)
         _PLACEMENT_CACHE.put(key, placement)
     return placement
-
-
-def placement_cache_stats() -> PlacementCacheStats:
-    """Current placement-cache counters."""
-    return _PLACEMENT_CACHE.stats()
-
-
-def reset_placement_cache() -> None:
-    """Drop all cached placements and zero the counters (tests, benchmarks).
-
-    Safe to call while lookups are in flight on other threads: the cache
-    lock serialises the reset against every get/put, so concurrent
-    sweeps see either the old entries or an empty cache, never a torn
-    LRU or desynchronised counters.
-    """
-    _PLACEMENT_CACHE.clear()
-
-
-def set_placement_cache_policy(
-    *,
-    ttl_s: Optional[float] = None,
-    clock: Optional[Callable[[], float]] = None,
-) -> None:
-    """Set the placement-cache freshness policy.
-
-    ``ttl_s=None`` (the default) keeps entries until byte-budget
-    eviction — the historical behaviour. A positive TTL expires entries
-    *lazily* on lookup once they are older than that many seconds on
-    *clock* (default: ``time.monotonic``; injectable for tests).
-    """
-    _PLACEMENT_CACHE.set_policy(ttl_s, clock)

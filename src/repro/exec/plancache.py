@@ -16,135 +16,36 @@ validation inspects the parent); the ratios digest is the exact float
 tuple, ``None`` for the sequential strategy. Cached plans are frozen
 dataclasses, shared rather than copied.
 
-The cache is **per process**: every pool worker warms its own copy, so
-repeated allocation work inside a sweep is computed once per worker.
-Hit/miss counters deliberately live in plain attributes (not the metrics
-registry) so per-task metric capture in :mod:`repro.exec.pool` — which
-zeroes the registry — can never desynchronise the counters from the
-cached entries.
-
-Concurrency and freshness
--------------------------
-All cache operations (including :func:`reset_plan_cache`) hold one lock,
-so the planning service can reset or retune the cache while recommend
-sweeps are mid-flight without corrupting the LRU order or the counters.
-:func:`set_plan_cache_policy` optionally gives entries a TTL (measured
-on a monotonic clock, injectable for tests): a long-lived service keeps
-serving from a warm cache but re-plans once entries go stale. Expired
-lookups count as misses and are tallied separately in ``expired``.
+The cache is one :class:`~repro.exec.cache.BoundedCache`
+(``exec.plan_cache``, up to 1024 plans, no byte budget): locking, TTL,
+counters and their registry mirror are documented there.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.scheduler.plan import ExecutionPlan
 from repro.core.scheduler.strategies import ParallelSiblingsStrategy, SequentialStrategy
+from repro.exec.cache import BoundedCache
 from repro.runtime.process_grid import ProcessGrid
 from repro.wrf.grid import DomainSpec
 
 __all__ = [
-    "PlanCacheStats",
     "sequential_plan",
     "parallel_plan",
     "plan_cache_stats",
     "reset_plan_cache",
-    "set_plan_cache_policy",
 ]
 
 PlanKey = Tuple[str, int, int, Tuple[DomainSpec, ...], Optional[Tuple[float, ...]]]
 
+_PLAN_CACHE = BoundedCache("exec.plan_cache", maxsize=1024)
 
-@dataclass(frozen=True)
-class PlanCacheStats:
-    """Plan-cache counters for reports and benchmarks."""
-
-    hits: int
-    misses: int
-    entries: int
-    #: Lookups that found an entry past its TTL (also counted as misses).
-    expired: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class _PlanCache:
-    """Bounded LRU of execution plans (same shape as the route cache).
-
-    Every operation holds ``_lock``: the planning service runs lookups
-    from many request threads and may reset mid-flight.
-    """
-
-    def __init__(self, maxsize: int = 1024):
-        self.maxsize = maxsize
-        self._data: "OrderedDict[PlanKey, Tuple[ExecutionPlan, float]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.expired = 0
-        self.ttl_s: Optional[float] = None
-        self._clock: Callable[[], float] = time.monotonic
-        self._lock = threading.Lock()
-
-    def get(self, key: PlanKey) -> Optional[ExecutionPlan]:
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is not None and self.ttl_s is not None:
-                if self._clock() - entry[1] > self.ttl_s:
-                    del self._data[key]
-                    self.expired += 1
-                    entry = None
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._data.move_to_end(key)
-            return entry[0]
-
-    def put(self, key: PlanKey, value: ExecutionPlan) -> None:
-        with self._lock:
-            self._data[key] = (value, self._clock())
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def stats(self) -> PlanCacheStats:
-        with self._lock:
-            return PlanCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                entries=len(self._data),
-                expired=self.expired,
-            )
-
-    def set_policy(
-        self,
-        ttl_s: Optional[float],
-        clock: Optional[Callable[[], float]],
-    ) -> None:
-        with self._lock:
-            if ttl_s is not None and ttl_s <= 0:
-                raise ValueError(f"ttl_s must be > 0 or None, got {ttl_s}")
-            self.ttl_s = ttl_s
-            self._clock = clock or time.monotonic
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-            self.expired = 0
-
-
-_PLAN_CACHE = _PlanCache()
+#: Current plan-cache counters.
+plan_cache_stats = _PLAN_CACHE.stats
+#: Drop all cached plans and zero the counters (tests, benchmarks).
+reset_plan_cache = _PLAN_CACHE.clear
 
 
 def _key(
@@ -185,35 +86,3 @@ def parallel_plan(
         )
         _PLAN_CACHE.put(key, plan)
     return plan
-
-
-def plan_cache_stats() -> PlanCacheStats:
-    """Current plan-cache counters."""
-    return _PLAN_CACHE.stats()
-
-
-def reset_plan_cache() -> None:
-    """Drop all cached plans and zero the counters (tests, benchmarks).
-
-    Safe to call while lookups are in flight on other threads: the cache
-    lock serialises the reset against every get/put, so concurrent
-    sweeps see either the old entries or an empty cache, never a torn
-    LRU or desynchronised counters.
-    """
-    _PLAN_CACHE.clear()
-
-
-def set_plan_cache_policy(
-    *,
-    ttl_s: Optional[float] = None,
-    clock: Optional[Callable[[], float]] = None,
-) -> None:
-    """Set the plan-cache freshness policy.
-
-    ``ttl_s=None`` (the default) keeps entries until LRU eviction —
-    the historical behaviour. A positive TTL expires entries *lazily*
-    on lookup once they are older than that many seconds on *clock*
-    (default: ``time.monotonic``; injectable for tests). Existing
-    entries keep their insertion stamps.
-    """
-    _PLAN_CACHE.set_policy(ttl_s, clock)

@@ -11,7 +11,7 @@ such a task list out over a ``ProcessPoolExecutor`` while keeping the
 * each task is a pure function of its (picklable) spec, so ``jobs=1``
   and ``jobs=N`` produce byte-identical artifacts;
 * with ``capture_metrics=True`` every task runs against a freshly-zeroed
-  metrics registry (and route cache — the one registry-coupled cache),
+  metrics registry and freshly-cleared caches,
   its per-task snapshot is captured, and the parent folds the snapshots
   **in task order** with the associative
   :func:`~repro.obs.metrics.merge_snapshots`, so the merged snapshot is
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SweepError
+from repro.exec.cache import clear_caches
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.metrics import merge_snapshots, registry
 from repro.obs.trace import tracer
@@ -57,19 +58,14 @@ _RETRIES = _obs_counter("exec.sweep.retries")
 def _reset_task_state() -> None:
     """Zero all state a per-task metrics delta must not inherit.
 
-    The route and placement caches are the caches whose hit/miss counters
-    live in the metrics registry (they must always equal
-    ``route_cache_stats()`` / ``placement_cache_stats()``); dropping them
-    together with the registry keeps that invariant inside every captured
-    delta — and makes each task's delta independent of which tasks ran
-    earlier in the same process, which is what makes the merged snapshot
-    identical across worker counts.
+    Every cache mirrors its counters into the metrics registry (they
+    must always equal its ``stats()``); clearing the caches together with
+    the registry keeps that invariant inside every captured delta — and
+    makes each task's delta independent of which tasks ran earlier in
+    the same process, which is what makes the merged snapshot identical
+    across worker counts.
     """
-    from repro.exec.placementcache import reset_placement_cache
-    from repro.netsim.engine import reset_route_cache
-
-    reset_route_cache()
-    reset_placement_cache()
+    clear_caches()
     registry().reset()
 
 
@@ -181,7 +177,7 @@ class SweepRunner:
     capture_metrics:
         Capture a per-task metrics-registry snapshot and fold them in
         task order into :attr:`SweepResult.metrics`. Each task then runs
-        against a zeroed registry and route cache; in ``jobs=1`` mode
+        against a zeroed registry and cleared caches; in ``jobs=1`` mode
         that zeroing happens in the *calling* process, so only enable
         this when the sweep owns the registry for the duration (the
         fuzzer and the CLI entry points do).

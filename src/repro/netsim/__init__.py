@@ -28,7 +28,6 @@ from repro.netsim.engine import (
     LinkLoadVector,
     PlacementVector,
     RoutedExchange,
-    RouteCacheStats,
     active_backend,
     as_placement,
     link_id_of,
@@ -56,7 +55,6 @@ __all__ = [
     "LinkLoadVector",
     "PlacementVector",
     "RoutedExchange",
-    "RouteCacheStats",
     "active_backend",
     "as_placement",
     "link_id_of",

@@ -43,11 +43,11 @@ kernels that are bit-identical to the scalar oracle:
   model so results match bit for bit.
 * **Route cache.** The identical exchange repeats every round, timestep,
   and sweep config, so routed exchanges are memoised under
-  ``(torus dims, placement digest, message-set digest)``; eviction is
-  **byte-budgeted** (LRU above :func:`repro.netsim.budget.
-  route_cache_budget_bytes`), so cache residency scales with the
-  configured memory, not the rank count. Counters are exposed for the
-  profiling report via :func:`route_cache_stats`.
+  ``(torus dims, placement digest, message-set digest)`` in one
+  :class:`~repro.exec.cache.BoundedCache`; eviction is **byte-budgeted**
+  (LRU above :func:`repro.netsim.budget.route_cache_budget_bytes`), so
+  cache residency scales with the configured memory, not the rank
+  count. Counters are exposed via :func:`route_cache_stats`.
 
 The scalar implementation remains available as a parity oracle: set
 ``REPRO_NETSIM=scalar`` to route every exchange through it (the
@@ -60,14 +60,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.exec.cache import BoundedCache
 from repro.netsim.budget import (
     expansion_hop_limit,
     route_cache_budget_bytes,
@@ -97,7 +96,6 @@ __all__ = [
     "SCALAR",
     "active_backend",
     "route_exchange_streamed",
-    "RouteCacheStats",
     "route_cache_stats",
     "reset_route_cache",
 ]
@@ -114,14 +112,8 @@ EXACT_BYTES_LIMIT = 2**53
 
 # Metrics published into the observability registry. Bound once at import
 # (registry resets zero in place, so these references never go stale) and
-# incremented unconditionally: one attribute add per exchange is far below
-# the digest hashing that keys the cache. The hit/miss/eviction counters
-# are zeroed together with the cache by :func:`reset_route_cache`, so they
-# match :func:`route_cache_stats` exactly at all times.
-_HITS = _obs_counter("netsim.route_cache.hits")
-_MISSES = _obs_counter("netsim.route_cache.misses")
-_EVICTIONS = _obs_counter("netsim.route_cache.evictions")
-_CACHE_BYTES = _obs_gauge("netsim.route_cache.resident_bytes")
+# updated unconditionally. The route cache mirrors its own counters
+# (``netsim.route_cache.*``, see :mod:`repro.exec.cache`).
 _MAX_LINK_BYTES = _obs_gauge("netsim.link_load.max_bytes")
 #: Streaming fan-out: exchanges that exceeded the one-shot expansion
 #: budget, and the bounded chunks they were expanded in.
@@ -654,117 +646,25 @@ class RoutedExchange:
 # ----------------------------------------------------------------------
 # Route cache
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RouteCacheStats:
-    """Route-cache counters for the profiling report."""
-
-    hits: int
-    misses: int
-    entries: int
-    evictions: int = 0
-    resident_bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+def _exchange_nbytes(entry: tuple[RoutedExchange, LinkLoadVector]) -> int:
+    routed, loads = entry
+    return routed.resident_nbytes + loads.resident_nbytes
 
 
-class _RouteCache:
-    """Byte-budgeted LRU of routed exchanges.
+#: Routed exchanges keyed by ``(torus dims, placement digest, message-set
+#: digest)`` — the exact identity of an exchange round. Values are
+#: immutable (read-only arrays), so hits are shared, not copied.
+_ROUTE_CACHE = BoundedCache(
+    "netsim.route_cache",
+    maxsize=256,
+    budget_bytes=route_cache_budget_bytes,
+    sizeof=_exchange_nbytes,
+)
 
-    Keyed by ``(torus dims, placement digest, message-set digest)`` — the
-    exact identity of an exchange round. Values are immutable
-    (read-only arrays), so cache hits are shared, not copied. Eviction
-    is LRU-first once resident bytes exceed
-    :func:`repro.netsim.budget.route_cache_budget_bytes` (re-read each
-    insert, so tests and long-lived services can retune it); an entry
-    larger than the whole budget is never retained at all — the budget
-    wins over the warm path.
-    """
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = maxsize
-        self._data: "OrderedDict[tuple, tuple[RoutedExchange, LinkLoadVector, int]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bytes = 0
-        # Request threads in the planning service share this cache;
-        # every operation (reset included) holds the lock so concurrent
-        # lookups can never tear the LRU order or the counters.
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple):
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is None:
-                self.misses += 1
-                _MISSES.inc()
-                return None
-            self.hits += 1
-            _HITS.inc()
-            self._data.move_to_end(key)
-            return entry[0], entry[1]
-
-    def put(self, key: tuple, routed: RoutedExchange, loads: LinkLoadVector) -> None:
-        nbytes = routed.resident_nbytes + loads.resident_nbytes
-        budget = route_cache_budget_bytes()
-        with self._lock:
-            if nbytes > budget:
-                self.evictions += 1
-                _EVICTIONS.inc()
-                return
-            old = self._data.pop(key, None)
-            if old is not None:
-                self.bytes -= old[2]
-            self._data[key] = (routed, loads, nbytes)
-            self.bytes += nbytes
-            while self._data and (
-                len(self._data) > self.maxsize or self.bytes > budget
-            ):
-                _, (_, _, evicted_nbytes) = self._data.popitem(last=False)
-                self.bytes -= evicted_nbytes
-                self.evictions += 1
-                _EVICTIONS.inc()
-            _CACHE_BYTES.set(self.bytes)
-
-    def stats(self) -> RouteCacheStats:
-        with self._lock:
-            return RouteCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                entries=len(self._data),
-                evictions=self.evictions,
-                resident_bytes=self.bytes,
-            )
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.bytes = 0
-            _HITS.reset()
-            _MISSES.reset()
-            _EVICTIONS.reset()
-            _CACHE_BYTES.reset()
-
-
-_ROUTE_CACHE = _RouteCache()
-
-
-def route_cache_stats() -> RouteCacheStats:
-    """Current route-cache counters."""
-    return _ROUTE_CACHE.stats()
-
-
-def reset_route_cache() -> None:
-    """Drop all cached routes and zero the counters (tests, benchmarks)."""
-    _ROUTE_CACHE.clear()
+#: Current route-cache counters.
+route_cache_stats = _ROUTE_CACHE.stats
+#: Drop all cached routes and zero the counters (tests, benchmarks).
+reset_route_cache = _ROUTE_CACHE.clear
 
 
 # ----------------------------------------------------------------------
@@ -793,7 +693,7 @@ class VectorBackend:
             return cached
 
         num_links = torus.num_nodes * LINKS_PER_NODE
-        routed, loads = self._route_uncached(
+        exchange = self._route_uncached(
             torus,
             placement,
             src,
@@ -802,8 +702,8 @@ class VectorBackend:
             hop_limit=expansion_hop_limit(),
             sparse=sparse_mode(num_links),
         )
-        _ROUTE_CACHE.put(key, routed, loads)
-        return routed, loads
+        _ROUTE_CACHE.put(key, exchange)
+        return exchange
 
     def _route_uncached(
         self,

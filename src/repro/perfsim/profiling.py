@@ -23,67 +23,7 @@ from repro.runtime.process_grid import ProcessGrid
 from repro.topology.machines import Machine
 from repro.wrf.grid import DomainSpec
 
-__all__ = ["profile_step", "profile_step_time", "netsim_profile", "placement_profile"]
-
-
-def netsim_profile() -> dict:
-    """Network-engine counters for the profiling report.
-
-    Reports which routing engine is active and how often the
-    placement-keyed route cache short-circuited routing — the dominant
-    effect when the same exchange repeats across rounds, timesteps, and
-    sweep configurations.
-    """
-    from repro.netsim.budget import mem_budget_bytes, route_cache_budget_bytes
-    from repro.netsim.engine import active_backend, route_cache_stats
-    from repro.obs.metrics import registry
-
-    stats = route_cache_stats()
-    return {
-        "backend": active_backend().name,
-        "route_cache_hits": stats.hits,
-        "route_cache_misses": stats.misses,
-        "route_cache_entries": stats.entries,
-        "route_cache_hit_rate": stats.hit_rate,
-        "route_cache_evictions": stats.evictions,
-        "route_cache_resident_bytes": stats.resident_bytes,
-        "route_cache_budget_bytes": route_cache_budget_bytes(),
-        "mem_budget_bytes": mem_budget_bytes(),
-        # The same counters plus link-load extremes and streaming
-        # fan-out, as published into the observability registry (see
-        # docs/observability.md).
-        "metrics": registry().snapshot("netsim."),
-    }
-
-
-def placement_profile() -> dict:
-    """Placement-pipeline counters for the profiling report.
-
-    Mirrors :func:`netsim_profile` for the placement layer: which
-    placement backend is active and how often the keyed placement cache
-    returned a memoized placement instead of re-running a heuristic.
-    """
-    from repro.exec.placementcache import placement_cache_stats
-    from repro.netsim.budget import placement_cache_budget_bytes
-    from repro.obs.metrics import registry
-    from repro.runtime.decomposition import decompose_cache_stats
-
-    stats = placement_cache_stats()
-    dec = decompose_cache_stats()
-    return {
-        "backend": placement_backend(),
-        "placement_cache_hits": stats.hits,
-        "placement_cache_misses": stats.misses,
-        "placement_cache_entries": stats.entries,
-        "placement_cache_hit_rate": stats.hit_rate,
-        "placement_cache_evictions": stats.evictions,
-        "placement_cache_resident_bytes": stats.resident_bytes,
-        "placement_cache_budget_bytes": placement_cache_budget_bytes(),
-        "decompose_cache_hits": dec.hits,
-        "decompose_cache_misses": dec.misses,
-        "decompose_cache_entries": dec.entries,
-        "metrics": registry().snapshot("exec.placement_cache."),
-    }
+__all__ = ["profile_step", "profile_step_time"]
 
 
 def profile_step(

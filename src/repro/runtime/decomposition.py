@@ -16,14 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.util.validation import check_positive_int
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.cache import CacheStats
+
 __all__ = [
     "BlockDecomposition",
-    "DecomposeCacheStats",
     "decompose",
     "decompose_cache_stats",
     "reset_decompose_cache",
@@ -115,26 +117,13 @@ def decompose(nx: int, ny: int, px: int, py: int) -> BlockDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class DecomposeCacheStats:
-    """Decompose-cache counters (same shape as the plan-cache stats)."""
-
-    hits: int
-    misses: int
-    entries: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-def decompose_cache_stats() -> DecomposeCacheStats:
+def decompose_cache_stats() -> "CacheStats":
     """Current :func:`decompose` cache counters."""
+    # Imported here: repro.exec imports this module while it initialises.
+    from repro.exec.cache import CacheStats
+
     info = decompose.cache_info()
-    return DecomposeCacheStats(
-        hits=info.hits, misses=info.misses, entries=info.currsize
-    )
+    return CacheStats(hits=info.hits, misses=info.misses, entries=info.currsize)
 
 
 def reset_decompose_cache() -> None:

@@ -227,24 +227,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_recommend(self, state: ServiceState):
         req = self._read_request(RecommendRequest)
-        state.maybe_expire()
         response, coalesced = state.recommend(req)
         headers = {"X-Repro-Coalesced": "1" if coalesced else "0"}
         return 200, dump_bytes(response), headers
 
     def _handle_plan(self, state: ServiceState):
         req = self._read_request(PlanRequest)
-        state.maybe_expire()
         return 200, dump_bytes(state.plan(req)), {}
 
     def _handle_simulate(self, state: ServiceState):
         req = self._read_request(SimulateRequest)
-        state.maybe_expire()
         return 200, dump_bytes(state.simulate(req)), {}
 
     def _handle_verify(self, state: ServiceState):
         req = self._read_request(VerifyRequest)
-        state.maybe_expire()
         return 200, dump_bytes(state.verify(req)), {}
 
 

@@ -344,11 +344,7 @@ class ShardedPlanningService:
         self.supervisor = ShardSupervisor(
             shards,
             host="127.0.0.1",
-            ttls=(
-                policy.plan_ttl_s,
-                policy.placement_ttl_s,
-                policy.route_ttl_s,
-            ),
+            cache_ttl_s=policy.cache_ttl_s,
             warm=warm,
             warm_max_ranks=warm_max_ranks,
             pool_size=pool_size,

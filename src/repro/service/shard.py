@@ -48,7 +48,7 @@ class NoLiveShardError(ReproError):
 def shard_server_main(
     ready_conn,
     host: str,
-    ttls: Tuple[Optional[float], Optional[float], Optional[float]],
+    cache_ttl_s: Optional[float],
     warm: bool,
     warm_max_ranks: int,
 ) -> None:
@@ -65,10 +65,7 @@ def shard_server_main(
     from repro.service.app import PlanningServer
     from repro.service.state import ServicePolicy, ServiceState
 
-    policy = ServicePolicy(
-        plan_ttl_s=ttls[0], placement_ttl_s=ttls[1], route_ttl_s=ttls[2]
-    )
-    state = ServiceState(policy)
+    state = ServiceState(ServicePolicy(cache_ttl_s=cache_ttl_s))
     server = PlanningServer(state, host=host, port=0)
     if warm:
         state.warm_start(max_ranks=warm_max_ranks)
@@ -121,9 +118,7 @@ class ShardSupervisor:
         shards: int,
         *,
         host: str = "127.0.0.1",
-        ttls: Tuple[Optional[float], Optional[float], Optional[float]] = (
-            None, None, None,
-        ),
+        cache_ttl_s: Optional[float] = None,
         warm: bool = True,
         warm_max_ranks: int = 256,
         pool_size: int = 8,
@@ -144,7 +139,7 @@ class ShardSupervisor:
         for slot in range(shards):
             proc = SupervisedProcess(
                 shard_server_main,
-                (host, ttls, warm, warm_max_ranks),
+                (host, cache_ttl_s, warm, warm_max_ranks),
                 name=f"planning-shard-{slot}",
                 ready_timeout_s=ready_timeout_s,
             )

@@ -3,11 +3,9 @@
 One :class:`ServiceState` lives for the whole life of a server process
 and owns everything requests share:
 
-* the **plan / placement / route caches** (PRs 1/4/5/6) as cross-request
-  state, governed by a :class:`ServicePolicy` — per-entry TTLs on the
-  plan and placement caches, whole-cache TTL flushes on the route cache
-  (its entries are bulk arrays; the byte budget already bounds
-  residency, so a wholesale flush is the right freshness granularity);
+* the **plan / placement / route caches** as cross-request state,
+  governed by a :class:`ServicePolicy` — one lazy per-entry TTL on all
+  three (:func:`repro.exec.cache.set_cache_policy`);
 * **request coalescing**: identical in-flight ``recommend`` requests
   (keyed by their canonical JSON bytes) share one computation — the
   leader computes, followers block on an event and receive the *same*
@@ -31,18 +29,11 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.exec.placementcache import (
-    placement_cache_stats,
-    set_placement_cache_policy,
-)
-from repro.exec.plancache import (
-    parallel_plan,
-    plan_cache_stats,
-    sequential_plan,
-    set_plan_cache_policy,
-)
+from repro.exec.cache import set_cache_policy
+from repro.exec.placementcache import placement_cache_stats
+from repro.exec.plancache import parallel_plan, plan_cache_stats, sequential_plan
 from repro.iosim.model import IoModel
-from repro.netsim.engine import reset_route_cache, route_cache_stats
+from repro.netsim.engine import route_cache_stats
 from repro.obs.metrics import counter, histogram, registry
 from repro.obs.trace import tracer
 from repro.perfsim.simulate import IterationReport, simulate_iteration
@@ -113,14 +104,13 @@ def _mapping_instance(name: str):
 class ServicePolicy:
     """Freshness policy for the shared caches.
 
-    ``None`` disables a TTL (the historical keep-until-evicted
-    behaviour); byte budgets stay governed by the ``REPRO_NETSIM_MEM_MB``
+    ``cache_ttl_s`` is one lazy per-entry TTL on the plan, placement and
+    route caches; ``None`` disables it (the historical keep-until-evicted
+    behaviour). Byte budgets stay governed by the ``REPRO_NETSIM_MEM_MB``
     family of knobs (:mod:`repro.netsim.budget`).
     """
 
-    plan_ttl_s: Optional[float] = None
-    placement_ttl_s: Optional[float] = None
-    route_ttl_s: Optional[float] = None
+    cache_ttl_s: Optional[float] = None
 
 
 class _InFlight:
@@ -146,38 +136,17 @@ class ServiceState:
         self.policy = policy or ServicePolicy()
         self._clock = clock
         self._started = clock()
-        self._route_flushed = clock()
         self._lock = threading.Lock()
         self._inflight: Dict[bytes, _InFlight] = {}
         self.warmed = False
-        set_plan_cache_policy(ttl_s=self.policy.plan_ttl_s)
-        set_placement_cache_policy(ttl_s=self.policy.placement_ttl_s)
+        set_cache_policy(ttl_s=self.policy.cache_ttl_s)
         self._requests = counter("service.requests")
         self._coalesce_hits = counter("service.coalesce.hits")
         self._coalesce_misses = counter("service.coalesce.misses")
 
     def close(self) -> None:
-        """Detach the state's cache policies (tests, clean shutdown)."""
-        set_plan_cache_policy(ttl_s=None)
-        set_placement_cache_policy(ttl_s=None)
-
-    # ------------------------------------------------------------- caches
-    def maybe_expire(self) -> bool:
-        """Flush the route cache when its TTL has lapsed.
-
-        Called on request entry; returns True when a flush happened.
-        The plan and placement caches expire per entry on lookup, so
-        they need no sweep here.
-        """
-        ttl = self.policy.route_ttl_s
-        if ttl is None:
-            return False
-        with self._lock:
-            if self._clock() - self._route_flushed <= ttl:
-                return False
-            self._route_flushed = self._clock()
-        reset_route_cache()
-        return True
+        """Detach the state's cache policy (tests, clean shutdown)."""
+        set_cache_policy(ttl_s=None)
 
     # --------------------------------------------------------- endpoints
     def recommend(self, req: RecommendRequest) -> Tuple[RecommendResponse, bool]:

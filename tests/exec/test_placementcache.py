@@ -182,28 +182,41 @@ class TestFuzzedReconciliation:
     def test_metrics_identical_across_jobs(self, reports):
         a, b = reports
         assert a.metrics == b.metrics
+        for name in ("exec.placement_cache", "exec.plan_cache"):
+            assert a.metrics[f"{name}.misses"]["value"] > 0
 
     def test_merged_counters_reconcile_with_replay(self, reports):
         """Merged worker counters equal a single-process replay's totals.
 
         Replays the same scenario stream with the per-task reset
         discipline :func:`repro.exec.pool._reset_task_state` uses,
-        accumulating the placement cache's *internal* hit/miss ints —
-        the merged snapshot's registry counters must match exactly.
+        accumulating the placement and plan caches' *internal* hit/miss
+        ints — the merged snapshot's registry counters must match
+        exactly.
         """
+        from repro.exec.cache import clear_caches
+        from repro.exec.plancache import plan_cache_stats
         from repro.util.rng import make_rng
         from repro.verify.fuzzer import _draw_scenarios, failures_for
 
         a, _ = reports
         scenarios, _, _ = _draw_scenarios(make_rng(self.SEED), self.BUDGET)
-        hits = misses = 0
+        stats_of = {
+            "exec.placement_cache": placement_cache_stats,
+            "exec.plan_cache": plan_cache_stats,
+        }
+        totals = dict.fromkeys(stats_of, (0, 0))
         for scenario in scenarios:
-            reset_placement_cache()
+            clear_caches()
             registry().reset()
             failures_for(scenario)
-            stats = placement_cache_stats()
-            hits += stats.hits
-            misses += stats.misses
-        assert a.metrics["exec.placement_cache.hits"]["value"] == hits
-        assert a.metrics["exec.placement_cache.misses"]["value"] == misses
-        assert hits + misses > 0
+            for name, stats_fn in stats_of.items():
+                stats = stats_fn()
+                hits, misses = totals[name]
+                totals[name] = (hits + stats.hits, misses + stats.misses)
+        for name, (hits, misses) in totals.items():
+            # Captured deltas drop counters that stayed at zero.
+            merged_hits = a.metrics.get(f"{name}.hits", {"value": 0})["value"]
+            assert merged_hits == hits
+            assert a.metrics[f"{name}.misses"]["value"] == misses
+            assert misses > 0

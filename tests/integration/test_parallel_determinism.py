@@ -14,7 +14,9 @@ import pytest
 
 from repro.analysis.experiments import fig15_speedup
 from repro.analysis.planner import recommend
-from repro.netsim.engine import reset_route_cache, route_cache_stats
+from repro.exec.cache import clear_caches
+from repro.exec.plancache import plan_cache_stats
+from repro.netsim.engine import route_cache_stats
 from repro.obs.metrics import registry
 from repro.topology.machines import BLUE_GENE_L
 from repro.util.rng import make_rng
@@ -52,26 +54,44 @@ class TestFuzzDeterminism:
         assert a.metrics == b.metrics
         assert a.metrics["verify.fuzz.scenarios_run"]["value"] == BUDGET
 
-    def test_merged_route_cache_counters_reconcile(self, reports):
-        """Merged worker counters equal a single-process re-run's totals.
+    @pytest.fixture(scope="class")
+    def replay(self):
+        """``(hits, misses)`` per cache, summed over a single-process re-run.
 
         Replays the same scenario stream with the same per-scenario
-        reset discipline the capture path uses, accumulating the route
-        cache's *internal* hit/miss ints — the merged snapshot's
-        registry counters must match them exactly.
+        reset discipline the capture path uses, accumulating each
+        cache's *internal* hit/miss ints.
         """
-        a, _ = reports
+        stats_of = {
+            "netsim.route_cache": route_cache_stats,
+            "exec.plan_cache": plan_cache_stats,
+        }
+        totals = dict.fromkeys(stats_of, (0, 0))
         scenarios, _, _ = _draw_scenarios(make_rng(SEED), BUDGET)
-        hits = misses = 0
         for scenario in scenarios:
-            reset_route_cache()
+            clear_caches()
             registry().reset()
             failures_for(scenario)
-            stats = route_cache_stats()
-            hits += stats.hits
-            misses += stats.misses
+            for name, stats_fn in stats_of.items():
+                stats = stats_fn()
+                hits, misses = totals[name]
+                totals[name] = (hits + stats.hits, misses + stats.misses)
+        return totals
+
+    def test_merged_route_cache_counters_reconcile(self, reports, replay):
+        """Merged worker counters equal a single-process re-run's totals."""
+        a, _ = reports
+        hits, misses = replay["netsim.route_cache"]
         assert a.metrics["netsim.route_cache.hits"]["value"] == hits
         assert a.metrics["netsim.route_cache.misses"]["value"] == misses
+
+    def test_merged_plan_cache_counters_reconcile(self, reports, replay):
+        a, _ = reports
+        hits, misses = replay["exec.plan_cache"]
+        assert misses > 0
+        # Captured deltas drop counters that stayed at zero.
+        assert a.metrics.get("exec.plan_cache.hits", {"value": 0})["value"] == hits
+        assert a.metrics["exec.plan_cache.misses"]["value"] == misses
 
 
 class TestPlannerDeterminism:

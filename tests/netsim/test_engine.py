@@ -136,17 +136,3 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_NETSIM", "fortran")
         with pytest.raises(ConfigurationError):
             active_backend()
-
-    def test_netsim_profile_reports_cache(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NETSIM", raising=False)
-        from repro.perfsim.profiling import netsim_profile
-
-        torus = Torus3D((4, 4, 4))
-        nodes = [(0, 0, 0), (2, 2, 2)]
-        msgs = [HaloMessage(0, 1, 100)]
-        VECTOR.route_exchange(torus, nodes, msgs)
-        VECTOR.route_exchange(torus, nodes, msgs)
-        profile = netsim_profile()
-        assert profile["backend"] == "vector"
-        assert profile["route_cache_hits"] == 1
-        assert profile["route_cache_misses"] == 1

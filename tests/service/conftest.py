@@ -4,20 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec.placementcache import (
-    reset_placement_cache,
-    set_placement_cache_policy,
-)
-from repro.exec.plancache import reset_plan_cache, set_plan_cache_policy
-from repro.netsim.engine import reset_route_cache
+from repro.exec.cache import clear_caches, set_cache_policy
 
 
 def _reset_shared_state() -> None:
-    set_plan_cache_policy(ttl_s=None)
-    set_placement_cache_policy(ttl_s=None)
-    reset_plan_cache()
-    reset_placement_cache()
-    reset_route_cache()
+    set_cache_policy(ttl_s=None)
+    clear_caches()
 
 
 @pytest.fixture

@@ -115,8 +115,10 @@ class _OneShotServer:
                         break
                     data += chunk
                 if data:
-                    conn.sendall(self._RESPONSE)
+                    # Count before replying: once the client reads the
+                    # response it may assert on ``served`` at once.
                     self.served += 1
+                    conn.sendall(self._RESPONSE)
 
     def close(self) -> None:
         if not self._closed:

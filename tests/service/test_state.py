@@ -15,7 +15,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec.placementcache import placement_cache_stats
 from repro.exec.plancache import plan_cache_stats
-from repro.netsim.engine import route_cache_stats
 from repro.obs.metrics import registry
 from repro.service.schemas import (
     RecommendRequest,
@@ -23,7 +22,7 @@ from repro.service.schemas import (
     VerifyRequest,
     dump_bytes,
 )
-from repro.service.state import ServicePolicy, ServiceState
+from repro.service.state import ServiceState
 
 
 class _FakeClock:
@@ -141,33 +140,6 @@ class TestCoalescing:
         a = dump_bytes(RecommendRequest(config="fig2"))
         b = dump_bytes(RecommendRequest(config="table2"))
         assert a != b
-
-
-class TestRouteTtlGovernor:
-    def test_no_policy_never_flushes(self, fresh_caches):
-        clock = _FakeClock()
-        st = ServiceState(ServicePolicy(), clock=clock)
-        try:
-            clock.advance(1e6)
-            assert st.maybe_expire() is False
-        finally:
-            st.close()
-
-    def test_flushes_once_per_ttl_window(self, fresh_caches):
-        clock = _FakeClock()
-        st = ServiceState(ServicePolicy(route_ttl_s=10.0), clock=clock)
-        try:
-            st.simulate(SimulateRequest(ranks=64))  # populate route cache
-            assert route_cache_stats().entries > 0
-            assert st.maybe_expire() is False  # within the window
-            clock.advance(10.5)
-            assert st.maybe_expire() is True
-            assert route_cache_stats().entries == 0
-            assert st.maybe_expire() is False  # window restarted
-            clock.advance(10.5)
-            assert st.maybe_expire() is True
-        finally:
-            st.close()
 
 
 class TestEndpoints:
