@@ -15,7 +15,7 @@ from repro.core.mapping.ndfold import (
     folded_nd_placement,
     nd_average_hops,
 )
-from repro.runtime.halo import HaloSpec, halo_messages
+from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.bgq import BLUE_GENE_Q
 
@@ -26,7 +26,7 @@ def result():
     for nodes, (px, py) in ((128, (32, 64)), (512, (64, 128)), (1024, (128, 128))):
         torus = BLUE_GENE_Q.torus_for_nodes(nodes)
         grid = ProcessGrid(px, py)
-        msgs = halo_messages(grid, grid.full_rect(), 415, 445, HaloSpec())
+        msgs = halo_batch(grid, grid.full_rect(), 415, 445, HaloSpec())
         default = nd_average_hops(default_nd_placement(grid, torus, 16), msgs)
         folded = nd_average_hops(folded_nd_placement(grid, torus, 16), msgs)
         rows.append((nodes, torus.dims, px * py, default, folded))

@@ -9,11 +9,12 @@ import pytest
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.core.prediction.delaunay import delaunay_triangulation
-from repro.netsim.traffic import route_messages
-from repro.runtime.halo import HaloSpec, halo_messages
+from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.routing import path_links
 from repro.topology.torus import Torus3D
+from repro.verify.reference.halo import halo_messages
+from repro.verify.reference.netsim import route_messages
 from repro.wrf.fields import ModelState
 from repro.wrf.solver import ShallowWaterSolver, SolverParams
 
@@ -28,14 +29,12 @@ def test_torus_routing(benchmark):
 def test_halo_message_generation(benchmark):
     """Build one round of halo messages for a 4096-rank grid."""
     grid = ProcessGrid(64, 64)
-    msgs = benchmark(
-        halo_messages, grid, grid.full_rect(), 415, 445, HaloSpec()
-    )
-    assert len(msgs) > 10_000
+    batch = benchmark(halo_batch, grid, grid.full_rect(), 415, 445, HaloSpec())
+    assert len(batch) > 10_000
 
 
 def test_route_full_exchange(benchmark):
-    """Route a full 1024-rank halo exchange with contention accounting."""
+    """Route a full 1024-rank halo exchange with the reference simulator."""
     grid = ProcessGrid(32, 32)
     space = SlotSpace(Torus3D((8, 8, 8)), 2)
     nodes = ObliviousMapping().place(grid, space).nodes()
@@ -53,12 +52,13 @@ def test_route_full_exchange_vector(benchmark):
     grid = ProcessGrid(32, 32)
     space = SlotSpace(Torus3D((8, 8, 8)), 2)
     torus = space.torus
-    placement = as_placement(torus, ObliviousMapping().place(grid, space).nodes())
-    msgs = halo_messages(grid, grid.full_rect(), 415, 445, HaloSpec())
+    placed = ObliviousMapping().place(grid, space).nodes_array()
+    placement = as_placement(torus, placed)
+    batch = halo_batch(grid, grid.full_rect(), 415, 445, HaloSpec())
 
     def cold_route():
         reset_route_cache()
-        return VECTOR.route_exchange(torus, placement, msgs)
+        return VECTOR.route_exchange(torus, placement, batch)
 
     routed, loads = benchmark(cold_route)
     assert loads.total_bytes() > 0

@@ -1,13 +1,18 @@
-"""Benchmark: vectorized network engine vs the scalar oracle.
+"""Benchmark: vectorized network engine vs the reference simulator.
 
 Times the routing + round-pricing kernel of one 4096-rank BG/P halo
 exchange (the paper's largest per-domain message set) under three
 regimes:
 
-* ``scalar`` — the original pure-Python hop-by-hop path (the *before*),
+* ``scalar`` — the reference pure-Python hop-by-hop path
+  (:mod:`repro.verify.reference.netsim`, the *before*) on its
+  ``HaloMessage`` list and coordinate tuples,
 * ``vector cold`` — the NumPy engine with an empty route cache,
 * ``vector warm`` — the NumPy engine hitting the placement-keyed route
   cache, the regime every repeated round/timestep/sweep config runs in.
+
+The engine gets what production hands it: a ``HaloBatch`` and a
+``PlacementVector`` over ``Placement.nodes_array()``.
 
 The before/after trajectory is appended to ``BENCH_netsim.json`` at the
 repo root; the test asserts the >=10x acceptance floor on the cold path
@@ -26,17 +31,17 @@ from conftest import record
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.netsim.budget import route_cache_budget_bytes
-from repro.netsim.contention import round_time
 from repro.netsim.engine import VECTOR, as_placement, reset_route_cache, route_cache_stats
-from repro.netsim.traffic import route_messages
-from repro.runtime.halo import HaloSpec, halo_messages
+from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.machines import BLUE_GENE_P
+from repro.verify.reference.halo import halo_messages
+from repro.verify.reference.netsim import round_time, route_messages
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_netsim.json"
 
-#: Acceptance floor: the vectorized kernel must beat the scalar path by
-#: at least this factor even with a cold route cache.
+#: Acceptance floor: the vectorized kernel must beat the reference path
+#: by at least this factor even with a cold route cache.
 SPEEDUP_FLOOR = 10.0
 
 RANKS = 4096
@@ -57,9 +62,11 @@ def test_netsim_engine_speedup():
     machine = BLUE_GENE_P
     torus = machine.torus_for_ranks(RANKS, None)
     rpn = machine.mode(None).ranks_per_node
-    nodes = ObliviousMapping().place(grid, SlotSpace(torus, rpn)).nodes()
+    mapped = ObliviousMapping().place(grid, SlotSpace(torus, rpn))
     # One placement vector per placement, as simulate_iteration builds it.
-    placement = as_placement(torus, nodes)
+    placement = as_placement(torus, mapped.nodes_array())
+    batch = halo_batch(grid, grid.full_rect(), *DOMAIN, HaloSpec())
+    nodes = mapped.nodes()
     msgs = halo_messages(grid, grid.full_rect(), *DOMAIN, HaloSpec())
 
     def scalar_kernel():
@@ -67,7 +74,7 @@ def test_netsim_engine_speedup():
         return round_time(routed, loads, machine)
 
     def vector_kernel():
-        routed, loads = VECTOR.route_exchange(torus, placement, msgs)
+        routed, loads = VECTOR.route_exchange(torus, placement, batch)
         return VECTOR.round_estimate(routed, loads, machine)
 
     def vector_cold():
@@ -91,7 +98,7 @@ def test_netsim_engine_speedup():
         "ranks": RANKS,
         "machine": machine.name,
         "torus": list(torus.dims),
-        "messages": len(msgs),
+        "messages": len(batch),
         "scalar_s": scalar_s,
         "vector_cold_s": cold_s,
         "vector_warm_s": warm_s,
@@ -115,7 +122,7 @@ def test_netsim_engine_speedup():
         "\n".join(
             [
                 f"netsim engine kernel, {RANKS} BG/P ranks, "
-                f"{len(msgs)} messages on {torus!r}:",
+                f"{len(batch)} messages on {torus!r}:",
                 f"  scalar oracle    {scalar_s * 1e3:9.2f} ms",
                 f"  vector (cold)    {cold_s * 1e3:9.2f} ms   {speedup_cold:8.1f}x",
                 f"  vector (warm)    {warm_s * 1e6:9.2f} us   {speedup_warm:8.1f}x",
@@ -125,7 +132,7 @@ def test_netsim_engine_speedup():
     )
 
     assert speedup_cold >= SPEEDUP_FLOOR, (
-        f"vectorized engine only {speedup_cold:.1f}x over scalar "
+        f"vectorized engine only {speedup_cold:.1f}x over the reference "
         f"(floor {SPEEDUP_FLOOR}x)"
     )
     assert speedup_warm >= SPEEDUP_FLOOR

@@ -1,16 +1,17 @@
-"""Benchmark: the array placement & halo pipeline vs the scalar oracle.
+"""Benchmark: the array placement & halo pipeline vs the reference.
 
 Two acceptance floors ride on this module:
 
 * **Mapping-metrics sweep** — the Table 5 metric pipeline (halo build +
   hop metrics for every mapping's placement) at 4096 BG/P ranks must
-  beat the scalar oracle by >= 8x (floor 4x). Parity is enforced
-  bit-for-bit by ``tests/core/mapping/test_placement_parity.py`` and
-  asserted here before timing.
+  beat the per-message reference (:mod:`repro.verify.reference`) by
+  >= 8x (floor 4x). Parity is enforced bit-for-bit by
+  ``tests/core/mapping/test_placement_parity.py`` and asserted here
+  before timing.
 * **Warm ``simulate_iteration``** — with no pre-supplied placement, the
-  array backend plus a warm placement cache must beat the scalar
-  backend (placement cache cleared per call, as a cold heuristic rerun)
-  by >= 3x (floor 1.5x).
+  array pipeline plus a warm placement cache must beat a cold reference
+  heuristic run per call (the per-rank ``place`` flow, then pricing) by
+  >= 3x (floor 1.5x).
 
 Both trajectories append to ``BENCH_placement.json`` at the repo root.
 Runners too slow to finish the scalar probe inside the time budget skip
@@ -20,7 +21,6 @@ with a recorded reason instead of asserting noise.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -42,6 +42,8 @@ from repro.netsim.budget import placement_cache_budget_bytes
 from repro.perfsim.simulate import simulate_iteration
 from repro.runtime.halo import HaloSpec
 from repro.topology.machines import BLUE_GENE_P
+from repro.verify.reference import mapping as ref
+from repro.verify.reference.halo import halo_messages
 from repro.workloads.paper_configs import table5_configurations
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_placement.json"
@@ -72,21 +74,19 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-class _backend:
-    """Temporarily pin ``REPRO_PLACEMENT`` (restores the prior value)."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        self.saved = os.environ.get("REPRO_PLACEMENT")
-        os.environ["REPRO_PLACEMENT"] = self.name
-
-    def __exit__(self, *exc):
-        if self.saved is None:
-            os.environ.pop("REPRO_PLACEMENT", None)
-        else:
-            os.environ["REPRO_PLACEMENT"] = self.saved
+def _reference_metrics(placement, parent_domain, nest_domains, nest_rects, spec):
+    """``nest_and_parent_metrics`` built from the reference halo lists
+    and per-message metrics."""
+    grid = placement.grid
+    out = {
+        "parent": ref.evaluate_mapping(
+            placement, halo_messages(grid, grid.full_rect(), *parent_domain, spec)
+        )
+    }
+    for i, (domain, rect) in enumerate(zip(nest_domains, nest_rects)):
+        msgs = halo_messages(grid, rect, *domain, spec)
+        out[f"nest{i}"] = ref.evaluate_mapping(placement, msgs)
+    return out
 
 
 def _skip(kind: str, reason: str) -> None:
@@ -113,33 +113,30 @@ def test_mapping_metrics_sweep_speedup():
     mappings = [ObliviousMapping(), TxyzMapping(), PartitionMapping(), MultiLevelMapping()]
     placements = [m.place(grid, space, plan.rects) for m in mappings]
 
-    def sweep():
+    def sweep(metrics=nest_and_parent_metrics):
         return [
-            nest_and_parent_metrics(
-                p, parent_domain, nest_domains, plan.rects, spec
-            )
+            metrics(p, parent_domain, nest_domains, plan.rects, spec)
             for p in placements
         ]
 
-    with _backend("vector"):
-        vector_out = sweep()
-    with _backend("scalar"):
-        t0 = time.perf_counter()
-        scalar_out = sweep()
-        probe = time.perf_counter() - t0
+    def scalar_sweep():
+        return sweep(_reference_metrics)
+
+    vector_out = sweep()
+    t0 = time.perf_counter()
+    scalar_out = scalar_sweep()
+    probe = time.perf_counter() - t0
     assert vector_out == scalar_out  # parity before timing
     if probe > PROBE_BUDGET_S:
         _skip(
             "metrics",
-            f"scalar metrics probe took {probe:.0f}s "
+            f"reference metrics probe took {probe:.0f}s "
             f"(budget {PROBE_BUDGET_S:.0f}s); runner too small for a "
             f"meaningful ratio",
         )
 
-    with _backend("scalar"):
-        scalar_s = _best_of(sweep, repeats=2)
-    with _backend("vector"):
-        vector_s = _best_of(sweep, repeats=3)
+    scalar_s = _best_of(scalar_sweep, repeats=2)
+    vector_s = _best_of(sweep, repeats=3)
     speedup = scalar_s / vector_s
 
     _append(
@@ -169,8 +166,8 @@ def test_mapping_metrics_sweep_speedup():
         ),
     )
     assert speedup >= METRICS_FLOOR, (
-        f"array metrics pipeline only {speedup:.1f}x over the scalar "
-        f"oracle (floor {METRICS_FLOOR}x at {RANKS} ranks)"
+        f"array metrics pipeline only {speedup:.1f}x over the "
+        f"reference (floor {METRICS_FLOOR}x at {RANKS} ranks)"
     )
 
 
@@ -183,39 +180,36 @@ def test_warm_simulate_iteration_speedup():
         grid, config.parent, list(config.siblings)
     )
     mapping = MultiLevelMapping()
+    rpn = machine.mode(None).ranks_per_node
+    space = SlotSpace(machine.torus_for_ranks(grid.size, None), rpn)
 
     def iterate():
         return simulate_iteration(plan, machine, mapping=mapping)
 
     def scalar_cold():
-        # A fresh heuristic run per call: what every sweep iteration
-        # paid before the placement cache existed.
-        reset_placement_cache()
-        return iterate()
+        # A fresh reference heuristic run per call: what every sweep
+        # iteration paid before the array pipeline and placement cache.
+        placement = ref.place(mapping, grid, space, plan.rects)
+        return simulate_iteration(plan, machine, placement=placement)
 
-    with _backend("vector"):
-        reset_placement_cache()
-        vector_report = iterate()  # prime the placement cache
-    with _backend("scalar"):
-        t0 = time.perf_counter()
-        scalar_report = scalar_cold()
-        probe = time.perf_counter() - t0
+    reset_placement_cache()
+    vector_report = iterate()  # prime the placement cache
+    t0 = time.perf_counter()
+    scalar_report = scalar_cold()
+    probe = time.perf_counter() - t0
     assert vector_report == scalar_report  # parity before timing
     if probe > PROBE_BUDGET_S:
         _skip(
             "simulate",
-            f"scalar simulate probe took {probe:.0f}s "
+            f"reference simulate probe took {probe:.0f}s "
             f"(budget {PROBE_BUDGET_S:.0f}s); runner too small for a "
             f"meaningful ratio",
         )
 
-    with _backend("scalar"):
-        scalar_s = _best_of(scalar_cold, repeats=2)
-    with _backend("vector"):
-        iterate()  # re-prime after the scalar passes cleared the cache
-        warm_s = _best_of(iterate, repeats=3)
-        cache = placement_cache_stats()
-        budget = placement_cache_budget_bytes()
+    scalar_s = _best_of(scalar_cold, repeats=2)
+    warm_s = _best_of(iterate, repeats=3)
+    cache = placement_cache_stats()
+    budget = placement_cache_budget_bytes()
     speedup = scalar_s / warm_s
 
     _append(
@@ -247,6 +241,6 @@ def test_warm_simulate_iteration_speedup():
         ),
     )
     assert speedup >= SIMULATE_FLOOR, (
-        f"warm simulate_iteration only {speedup:.1f}x over the scalar "
-        f"cold path (floor {SIMULATE_FLOOR}x at {RANKS} ranks)"
+        f"warm simulate_iteration only {speedup:.1f}x over the cold "
+        f"reference path (floor {SIMULATE_FLOOR}x at {RANKS} ranks)"
     )

@@ -50,7 +50,7 @@ from repro.netsim.engine import (
 )
 from repro.obs.metrics import peak_rss_bytes, sample_rss
 from repro.runtime.decomposition import choose_process_grid
-from repro.runtime.halo import HaloSpec, halo_messages_array
+from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.bgq import BLUE_GENE_Q_3D
 from repro.topology.machines import BLUE_GENE_P
@@ -97,7 +97,7 @@ def _one_scale(machine, ranks: int) -> dict:
     placement_s = time.perf_counter() - t0
     pvec = as_placement(torus, placement.nodes_array())
 
-    batch = halo_messages_array(grid, grid.full_rect(), *DOMAIN, HaloSpec())
+    batch = halo_batch(grid, grid.full_rect(), *DOMAIN, HaloSpec())
 
     reset_route_cache()
     t0 = time.perf_counter()
@@ -154,7 +154,7 @@ def test_strong_scaling():
     top = entries[-1]
     px, py = top["grid"]
     grid = ProcessGrid(px, py)
-    batch = halo_messages_array(grid, grid.full_rect(), *DOMAIN, HaloSpec())
+    batch = halo_batch(grid, grid.full_rect(), *DOMAIN, HaloSpec())
     t0 = time.perf_counter()
     handle = share_halo_batch(batch)
     shared = attach_halo_batch(handle)

@@ -14,11 +14,9 @@ coordinate the network simulator routes from.
 
 A placement is array-backed: mappings may hand the constructor a dense
 ``(P, 3)`` ``int64`` slot array (what the vectorized heuristics produce),
-the bijection check runs vectorized under the default backend
-(``REPRO_PLACEMENT=vector``), and :meth:`Placement.nodes_array` exposes
-the per-rank node coordinates as an array the network engine consumes
-without materialising a Python tuple list per iteration. The scalar
-per-rank walk remains as the parity oracle (``REPRO_PLACEMENT=scalar``).
+the bijection check runs vectorized, and :meth:`Placement.nodes_array`
+exposes the per-rank node coordinates as an array the network engine
+consumes without materialising a Python tuple list per iteration.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MappingError
-from repro.runtime.backend import placement_backend
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.torus import Torus3D, TorusCoord
 from repro.util.validation import check_positive_int
@@ -150,8 +147,8 @@ class Placement:
     slots:
         ``slots[rank]`` is the slot of world rank *rank*. The constructor
         also accepts a ``(P, 3)`` integer array, which is normalised to
-        the tuple form (so equality and reprs are backend-independent)
-        while the array is retained for :meth:`slots_array`.
+        the tuple form (so equality and reprs do not depend on the input
+        form) while the array is retained for :meth:`slots_array`.
     name:
         The producing mapping's name (for reports).
     """
@@ -180,7 +177,7 @@ class Placement:
             self._raise_duplicate(ids)
 
     def _raise_duplicate(self, ids: Sequence[int]) -> None:
-        """Report the first duplicated slot exactly as the scalar walk did."""
+        """Report the first duplicated slot: the lowest rank that reuses one."""
         seen: Dict[int, int] = {}
         for rank, (slot, idx) in enumerate(zip(self.slots, ids)):
             if idx in seen:
@@ -234,26 +231,18 @@ class Placement:
         The placement is a bijection onto a slot subset exactly when
         these ids are pairwise distinct; computed from raw coordinates
         (not ``__post_init__`` state) so verification oracles can
-        re-check placements mutated after construction. Vectorized under
-        ``REPRO_PLACEMENT=vector``; the scalar walk is the parity oracle.
+        re-check placements mutated after construction.
         """
         X, Y, S = self.space.dims
-        if placement_backend() == "vector":
-            arr = self.slots_array()
-            dims = np.array([X, Y, S], dtype=np.int64)
-            ok = (arr >= 0).all(axis=1) & (arr < dims).all(axis=1)
-            if not bool(ok.all()):
-                x, y, s = self.slots[int(np.flatnonzero(~ok)[0])]
-                raise MappingError(
-                    f"slot ({x}, {y}, {s}) outside slot box {self.space.dims}"
-                )
-            return (arr[:, 0] + X * (arr[:, 1] + Y * arr[:, 2])).tolist()
-        out: List[int] = []
-        for x, y, s in self.slots:
-            if not (0 <= x < X and 0 <= y < Y and 0 <= s < S):
-                raise MappingError(f"slot ({x}, {y}, {s}) outside slot box {self.space.dims}")
-            out.append(x + X * (y + Y * s))
-        return out
+        arr = self.slots_array()
+        dims = np.array([X, Y, S], dtype=np.int64)
+        ok = (arr >= 0).all(axis=1) & (arr < dims).all(axis=1)
+        if not bool(ok.all()):
+            x, y, s = self.slots[int(np.flatnonzero(~ok)[0])]
+            raise MappingError(
+                f"slot ({x}, {y}, {s}) outside slot box {self.space.dims}"
+            )
+        return (arr[:, 0] + X * (arr[:, 1] + Y * arr[:, 2])).tolist()
 
     def hops_between(self, rank_a: int, rank_b: int) -> int:
         """Torus hop distance between two ranks (0 if co-located)."""

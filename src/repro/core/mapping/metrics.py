@@ -4,30 +4,26 @@ The paper evaluates mappings by the average number of torus hops between
 communicating processes (Fig 12(b) reports a ~50% hop reduction for the
 topology-aware mappings) and by the hop-byte volume the messages induce.
 
-Under the default array backend (``REPRO_PLACEMENT=vector``) every
-metric broadcasts the torus distance over whole message columns via the
-placement's node array — one NumPy pass instead of a
+Every metric broadcasts the torus distance over whole message columns
+via the placement's node array — one NumPy pass instead of a
 ``Placement.hops_between`` call per message. Hops and byte counts are
-integers, so the scalar oracle (``REPRO_PLACEMENT=scalar``) agrees
-exactly, division-for-division.
+integers, so the per-message oracle (:mod:`repro.verify.reference.mapping`)
+agrees exactly, division-for-division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.mapping.base import Placement
 from repro.errors import MappingError
-from repro.runtime.backend import placement_backend
-from repro.runtime.halo import HaloBatch, HaloMessage, HaloSpec, halo_batch, halo_messages
+from repro.runtime.halo import HaloBatch, HaloSpec, halo_batch
 from repro.runtime.process_grid import GridRect
 
 __all__ = ["MappingMetrics", "average_hops", "hop_bytes", "evaluate_mapping"]
-
-Messages = Union[HaloBatch, Iterable[HaloMessage]]
 
 
 @dataclass(frozen=True)
@@ -48,86 +44,38 @@ class MappingMetrics:
         )
 
 
-def _message_columns(messages: Messages) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(src, dst, nbytes)`` int64 columns of either message form."""
-    if isinstance(messages, HaloBatch):
-        return messages.src, messages.dst, messages.nbytes
-    batch = HaloBatch.from_messages(
-        messages if isinstance(messages, list) else list(messages)
-    )
-    return batch.src, batch.dst, batch.nbytes
-
-
-def _hops_of(placement: Placement, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def _hops_of(placement: Placement, messages: HaloBatch) -> np.ndarray:
     """Torus hop distance of every message, broadcast over the node array."""
     nodes = placement.nodes_array()
     dims = np.asarray(placement.space.torus.dims, dtype=np.int64)
-    d = np.abs(nodes[src] - nodes[dst]) % dims
+    d = np.abs(nodes[messages.src] - nodes[messages.dst]) % dims
     return np.minimum(d, dims - d).sum(axis=1)
 
 
-def average_hops(placement: Placement, messages: Messages) -> float:
+def average_hops(placement: Placement, messages: HaloBatch) -> float:
     """Mean torus hop count over *messages* under *placement*."""
-    if placement_backend() == "vector":
-        src, dst, _ = _message_columns(messages)
-        if len(src) == 0:
-            raise MappingError("no messages to evaluate")
-        return int(_hops_of(placement, src, dst).sum()) / len(src)
-    if isinstance(messages, HaloBatch):
-        messages = messages.to_messages()
-    total = 0
-    count = 0
-    for msg in messages:
-        total += placement.hops_between(msg.src, msg.dst)
-        count += 1
-    if count == 0:
+    if len(messages) == 0:
         raise MappingError("no messages to evaluate")
-    return total / count
+    return int(_hops_of(placement, messages).sum()) / len(messages)
 
 
-def hop_bytes(placement: Placement, messages: Messages) -> float:
+def hop_bytes(placement: Placement, messages: HaloBatch) -> float:
     """Total hop-byte volume (sum of bytes * hops) — the classic metric."""
-    if placement_backend() == "vector":
-        src, dst, nbytes = _message_columns(messages)
-        return float(int((_hops_of(placement, src, dst) * nbytes).sum()))
-    if isinstance(messages, HaloBatch):
-        messages = messages.to_messages()
-    return float(
-        sum(placement.hops_between(m.src, m.dst) * m.nbytes for m in messages)
-    )
+    return float(int((_hops_of(placement, messages) * messages.nbytes).sum()))
 
 
-def evaluate_mapping(
-    placement: Placement,
-    messages: Union[HaloBatch, Sequence[HaloMessage]],
-) -> MappingMetrics:
+def evaluate_mapping(placement: Placement, messages: HaloBatch) -> MappingMetrics:
     """Full metric set for *messages* under *placement*."""
-    if placement_backend() == "vector":
-        src, dst, nbytes = _message_columns(messages)
-        n = len(src)
-        if n == 0:
-            raise MappingError("no messages to evaluate")
-        hops = _hops_of(placement, src, dst)
-        return MappingMetrics(
-            num_messages=n,
-            average_hops=int(hops.sum()) / n,
-            max_hops=int(hops.max()),
-            hop_bytes=float(int((hops * nbytes).sum())),
-            intra_node_fraction=int((hops == 0).sum()) / n,
-        )
-    if isinstance(messages, HaloBatch):
-        messages = messages.to_messages()
-    if not messages:
+    n = len(messages)
+    if n == 0:
         raise MappingError("no messages to evaluate")
-    hops: List[int] = [placement.hops_between(m.src, m.dst) for m in messages]
-    hb = float(sum(h * m.nbytes for h, m in zip(hops, messages)))
-    zero = sum(1 for h in hops if h == 0)
+    hops = _hops_of(placement, messages)
     return MappingMetrics(
-        num_messages=len(messages),
-        average_hops=sum(hops) / len(hops),
-        max_hops=max(hops),
-        hop_bytes=hb,
-        intra_node_fraction=zero / len(hops),
+        num_messages=n,
+        average_hops=int(hops.sum()) / n,
+        max_hops=int(hops.max()),
+        hop_bytes=float(int((hops * messages.nbytes).sum())),
+        intra_node_fraction=int((hops == 0).sum()) / n,
     )
 
 
@@ -146,13 +94,12 @@ def nest_and_parent_metrics(
     """
     spec = spec or HaloSpec()
     grid = placement.grid
-    build = halo_batch if placement_backend() == "vector" else halo_messages
     out: dict[str, MappingMetrics] = {}
     pnx, pny = parent_domain
     out["parent"] = evaluate_mapping(
-        placement, build(grid, grid.full_rect(), pnx, pny, spec)
+        placement, halo_batch(grid, grid.full_rect(), pnx, pny, spec)
     )
     for i, ((nnx, nny), rect) in enumerate(zip(nest_domains, nest_rects)):
-        msgs = build(grid, rect, nnx, nny, spec)
+        msgs = halo_batch(grid, rect, nnx, nny, spec)
         out[f"nest{i}"] = evaluate_mapping(placement, msgs)
     return out

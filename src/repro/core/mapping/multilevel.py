@@ -16,12 +16,10 @@ fill automatically.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
-from repro.core.mapping.base import Box, SlotCoord
-from repro.core.mapping.folding import fill_rect_into_box, fill_rect_into_box_array
+from repro.core.mapping.base import Box
+from repro.core.mapping.folding import fill_rect_into_box_array
 from repro.core.mapping.partition_map import PartitionMapping
 from repro.runtime.process_grid import GridRect
 
@@ -34,27 +32,16 @@ class MultiLevelMapping(PartitionMapping):
     name = "multilevel"
     _fill_style = "fold"
 
-    def _structured_fill(
+    def _structured_fill_array(
         self, rect: GridRect, box: Box, orientation: int
-    ) -> Dict[Tuple[int, int], SlotCoord] | None:
+    ) -> np.ndarray | None:
         """Folded fill; orientation comes from the guillotine recursion.
 
         Orientations alternate across every cut so a partition's fold
         exits on the plane where its neighbour's fold enters (Fig 6(b):
         sibling 1 folds plane 0 -> 1, sibling 2 curls plane 1 -> 0).
+        Non-foldable rectangles fall back to the chunked partition fill.
         """
-        filled = fill_rect_into_box(
-            rect.width, rect.height, box, style="fold", orientation=orientation
-        )
-        if filled is not None:
-            return filled
-        # Non-foldable: fall back to the chunked partition fill.
-        return fill_rect_into_box(rect.width, rect.height, box, style="chunk")
-
-    def _structured_fill_array(
-        self, rect: GridRect, box: Box, orientation: int
-    ) -> np.ndarray | None:
-        """Array twin of :meth:`_structured_fill` (fold, chunk fallback)."""
         filled = fill_rect_into_box_array(
             rect.width, rect.height, box, style="fold", orientation=orientation
         )

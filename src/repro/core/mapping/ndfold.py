@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
-from repro.runtime.halo import HaloMessage
+from repro.runtime.halo import HaloBatch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.torusnd import NdCoord, TorusND
 
@@ -195,12 +195,11 @@ def folded_nd_placement(
     )
 
 
-def nd_average_hops(
-    placement: NdPlacement, messages: Sequence[HaloMessage]
-) -> float:
+def nd_average_hops(placement: NdPlacement, messages: HaloBatch) -> float:
     """Mean torus hops of *messages* under *placement*."""
-    if not messages:
+    if not len(messages):
         raise MappingError("no messages to evaluate")
     return sum(
-        placement.hops_between(m.src, m.dst) for m in messages
+        placement.hops_between(src, dst)
+        for src, dst in zip(messages.src.tolist(), messages.dst.tolist())
     ) / len(messages)

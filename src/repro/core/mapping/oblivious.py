@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.mapping.base import Mapping, Placement, SlotCoord, SlotSpace
-from repro.runtime.backend import placement_backend
+from repro.core.mapping.base import Mapping, Placement, SlotSpace
 from repro.runtime.process_grid import GridRect, ProcessGrid
 
 __all__ = ["ObliviousMapping"]
@@ -40,20 +39,12 @@ class ObliviousMapping(Mapping):
         torus = space.torus
         nodes = torus.num_nodes
         rpn = space.ranks_per_node
-        if placement_backend() == "vector":
-            x_dim, y_dim, _ = torus.dims
-            rank = np.arange(grid.size, dtype=np.int64)
-            node_idx = rank % nodes
-            core = rank // nodes
-            slot_arr = np.empty((grid.size, 3), dtype=np.int64)
-            slot_arr[:, 0] = node_idx % x_dim
-            slot_arr[:, 1] = (node_idx // x_dim) % y_dim
-            slot_arr[:, 2] = (node_idx // (x_dim * y_dim)) * rpn + core
-            return Placement(space=space, grid=grid, slots=slot_arr, name=self.name)
-        slots: list[SlotCoord] = []
-        for rank in range(grid.size):
-            core = rank // nodes
-            node_idx = rank % nodes
-            x, y, z = torus.coord_of(node_idx)
-            slots.append((x, y, z * rpn + core))
-        return Placement(space=space, grid=grid, slots=tuple(slots), name=self.name)
+        x_dim, y_dim, _ = torus.dims
+        rank = np.arange(grid.size, dtype=np.int64)
+        node_idx = rank % nodes
+        core = rank // nodes
+        slot_arr = np.empty((grid.size, 3), dtype=np.int64)
+        slot_arr[:, 0] = node_idx % x_dim
+        slot_arr[:, 1] = (node_idx // x_dim) % y_dim
+        slot_arr[:, 2] = (node_idx // (x_dim * y_dim)) * rpn + core
+        return Placement(space=space, grid=grid, slots=slot_arr, name=self.name)

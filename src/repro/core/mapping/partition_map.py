@@ -11,26 +11,20 @@ the multi-level mapping closes).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.mapping.base import Box, Mapping, Placement, SlotCoord, SlotSpace
+from repro.core.mapping.base import Box, Mapping, Placement, SlotSpace
 from repro.core.mapping.boxes import assign_boxes
 from repro.core.mapping.folding import (
-    fill_rect_into_box,
     fill_rect_into_box_array,
-    snake_fill,
     snake_fill_array,
     snake_index_grid,
-    snake_order_box,
     snake_order_box_array,
-    snake_order_box_depth_first,
     snake_order_box_depth_first_array,
-    snake_order_rect,
 )
 from repro.errors import MappingError
-from repro.runtime.backend import placement_backend
 from repro.runtime.process_grid import GridRect, ProcessGrid
 
 __all__ = ["PartitionMapping"]
@@ -64,60 +58,15 @@ class PartitionMapping(Mapping):
             rects = [grid.full_rect()]
         X, Y, S = space.dims
         root = Box(0, 0, 0, X, Y, S)
-        if placement_backend() == "vector":
-            return self._place_array(grid, space, rects, root)
 
+        # Every candidate fill is an ``(h, w, 3)`` slot array; hop scores
+        # are exact-integer sums divided once, so candidate selection
+        # (first minimum wins) is bit-identical to the reference.
+        #
         # The box-split axis preference interacts with how rectangles
         # factor into their boxes in hard-to-predict ways; build the
         # placement under both preferences and keep the one with fewer
         # internal hops (assignment is cheap relative to the savings).
-        best: tuple[float, Dict[int, SlotCoord]] | None = None
-        for prefer_depth in (self._fill_style == "chunk", self._fill_style != "chunk"):
-            own, shared = assign_boxes(rects, root, prefer_depth_cut=prefer_depth)
-            slot_of_rank: Dict[int, SlotCoord] = {}
-            handled_shared: set[int] = set()
-            score = 0.0
-            for idx, rect in enumerate(rects):
-                if idx in own:
-                    box, orientation = own[idx]
-                    score += self._fill_own(
-                        grid, rect, box, orientation, slot_of_rank, space
-                    )
-                elif idx not in handled_shared:
-                    box, group = shared[idx]
-                    score += self._fill_shared(
-                        grid, rects, group, box, slot_of_rank, space
-                    )
-                    handled_shared.update(group)
-            if best is None or score < best[0]:
-                best = (score, slot_of_rank)
-        assert best is not None
-
-        # Third candidate: one global structured fill of the whole grid.
-        # When partition areas do not factor into the box (no exact
-        # guillotine split exists), the per-rect path degrades to snake
-        # segments; a global fold keeps every 2-D adjacency short and each
-        # rectangle still lands on a contiguous folded band.
-        global_choice = self._global_fill(grid, root, rects, space)
-        if global_choice is not None and global_choice[0] < best[0]:
-            best = global_choice
-
-        slots = tuple(best[1][r] for r in range(grid.size))
-        return Placement(space=space, grid=grid, slots=slots, name=self.name)
-
-    # ------------------------------------------------------------------
-    # Array backend — same decision flow as the scalar path below, but
-    # every candidate fill is an ``(h, w, 3)`` slot array and the hop
-    # scores come out of one broadcast torus-distance pass per candidate.
-    # Scores are exact-integer sums divided once, so candidate selection
-    # (first minimum wins) is bit-identical to the scalar oracle.
-    def _place_array(
-        self,
-        grid: ProcessGrid,
-        space: SlotSpace,
-        rects: Sequence[GridRect],
-        root: Box,
-    ) -> Placement:
         best: tuple[float, np.ndarray] | None = None
         for prefer_depth in (self._fill_style == "chunk", self._fill_style != "chunk"):
             own, shared = assign_boxes(rects, root, prefer_depth_cut=prefer_depth)
@@ -140,6 +89,11 @@ class PartitionMapping(Mapping):
                 best = (score, slot_arr)
         assert best is not None
 
+        # Third candidate: one global structured fill of the whole grid.
+        # When partition areas do not factor into the box (no exact
+        # guillotine split exists), the per-rect path degrades to snake
+        # segments; a global fold keeps every 2-D adjacency short and each
+        # rectangle still lands on a contiguous folded band.
         global_choice = self._global_fill_array(grid, root, rects, space)
         if global_choice is not None and global_choice[0] < best[0]:
             best = global_choice
@@ -183,7 +137,8 @@ class PartitionMapping(Mapping):
 
     @staticmethod
     def _fill_score_array(fill: np.ndarray, space: SlotSpace) -> float:
-        """Array twin of :meth:`_fill_score` over an ``(h, w, 3)`` fill."""
+        """Mean torus hops over the internal 4-neighbour pairs of an
+        ``(h, w, 3)`` fill (lower = better)."""
         nodes = fill.copy()
         nodes[..., 2] //= space.ranks_per_node
         dims = np.asarray(space.torus.dims, dtype=np.int64)
@@ -254,129 +209,3 @@ class PartitionMapping(Mapping):
             ranks = self._rect_ranks(grid, rect)
             slot_arr[ranks.ravel()] = local.reshape(-1, 3)
         return (score, slot_arr)
-
-    def _global_fill(
-        self,
-        grid: ProcessGrid,
-        root: Box,
-        rects: Sequence[GridRect],
-        space: SlotSpace,
-    ) -> tuple[float, Dict[int, SlotCoord]] | None:
-        fill = fill_rect_into_box(grid.px, grid.py, root, style=self._fill_style)
-        if fill is None:
-            return None
-        slot_of_rank: Dict[int, SlotCoord] = {}
-        score = 0.0
-        for rect in rects:
-            local = {
-                (i, j): fill[(rect.x0 + i, rect.y0 + j)]
-                for j in range(rect.height)
-                for i in range(rect.width)
-            }
-            score += self._fill_score(local, rect, space) * rect.area
-            for (i, j), slot in local.items():
-                slot_of_rank[grid.rank_of(rect.x0 + i, rect.y0 + j)] = slot
-        return (score, slot_of_rank)
-
-    # ------------------------------------------------------------------
-    def _fill_own(
-        self,
-        grid: ProcessGrid,
-        rect: GridRect,
-        box: Box,
-        orientation: int,
-        out: Dict[int, SlotCoord],
-        space: SlotSpace,
-    ) -> float:
-        """Fill one rectangle, picking the best of several candidate fills.
-
-        Candidates: the structured (chunk/fold) fill, the same with the
-        rectangle's axes transposed (sometimes only one orientation
-        factors into the box), and the always-valid snake fallback. The
-        winner minimises the mean hop distance over the rectangle's
-        internal 4-neighbour pairs — a cheap local proxy for the halo
-        cost the network simulator will charge.
-        """
-        candidates: list[Dict[Tuple[int, int], SlotCoord]] = []
-        fill = self._structured_fill(rect, box, orientation)
-        if fill is not None:
-            candidates.append(fill)
-        transposed = self._structured_fill(
-            GridRect(rect.y0, rect.x0, rect.height, rect.width), box, orientation
-        )
-        if transposed is not None:
-            candidates.append(
-                {(i, j): slot for (j, i), slot in transposed.items()}
-            )
-        candidates.append(snake_fill(rect.width, rect.height, box))
-        candidates.append(snake_fill(rect.width, rect.height, box, depth_first=True))
-
-        scored = [(self._fill_score(f, rect, space), f) for f in candidates]
-        best_score, best = min(scored, key=lambda sf: sf[0])
-        for (i, j), slot in best.items():
-            out[grid.rank_of(rect.x0 + i, rect.y0 + j)] = slot
-        return best_score * rect.area
-
-    @staticmethod
-    def _fill_score(
-        fill: Dict[Tuple[int, int], SlotCoord], rect: GridRect, space: SlotSpace
-    ) -> float:
-        """Mean torus hops over internal 4-neighbour pairs (lower = better)."""
-        torus = space.torus
-        total = 0
-        count = 0
-        for j in range(rect.height):
-            for i in range(rect.width):
-                here = space.node_of(fill[(i, j)])
-                if i + 1 < rect.width:
-                    total += torus.distance(here, space.node_of(fill[(i + 1, j)]))
-                    count += 1
-                if j + 1 < rect.height:
-                    total += torus.distance(here, space.node_of(fill[(i, j + 1)]))
-                    count += 1
-        return total / count if count else 0.0
-
-    def _structured_fill(
-        self, rect: GridRect, box: Box, orientation: int
-    ) -> Dict[Tuple[int, int], SlotCoord] | None:
-        return fill_rect_into_box(
-            rect.width, rect.height, box, style=self._fill_style
-        )
-
-    def _fill_shared(
-        self,
-        grid: ProcessGrid,
-        rects: Sequence[GridRect],
-        group: Sequence[int],
-        box: Box,
-        out: Dict[int, SlotCoord],
-        space: SlotSpace,
-    ) -> float:
-        """Give each group member a contiguous snake segment of the box.
-
-        Both box serialisations (layer-major and depth-first) are tried;
-        the one with the lower total internal-hop score across the group
-        wins — deep boxes strongly favour the depth-first order.
-        """
-        candidates: list[Dict[int, SlotCoord]] = []
-        scores: list[float] = []
-        for order in (snake_order_box(box), snake_order_box_depth_first(box)):
-            fill: Dict[int, SlotCoord] = {}
-            score = 0.0
-            cursor = 0
-            for idx in group:
-                rect = rects[idx]
-                local: Dict[Tuple[int, int], SlotCoord] = {}
-                for i, j in snake_order_rect(rect.width, rect.height):
-                    local[(i, j)] = order[cursor]
-                    cursor += 1
-                score += self._fill_score(local, rect, space) * rect.area
-                for (i, j), slot in local.items():
-                    fill[grid.rank_of(rect.x0 + i, rect.y0 + j)] = slot
-            if cursor != len(order):  # pragma: no cover - defensive
-                raise MappingError("shared box fill did not consume all slots")
-            candidates.append(fill)
-            scores.append(score)
-        best_index = scores.index(min(scores))
-        out.update(candidates[best_index])
-        return scores[best_index]

@@ -13,8 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.mapping.base import Mapping, Placement, SlotCoord, SlotSpace
-from repro.runtime.backend import placement_backend
+from repro.core.mapping.base import Mapping, Placement, SlotSpace
 from repro.runtime.process_grid import GridRect, ProcessGrid
 
 __all__ = ["TxyzMapping"]
@@ -38,20 +37,12 @@ class TxyzMapping(Mapping):
         self._check_capacity(grid, space)
         torus = space.torus
         rpn = space.ranks_per_node
-        if placement_backend() == "vector":
-            x_dim, y_dim, _ = torus.dims
-            rank = np.arange(grid.size, dtype=np.int64)
-            node_idx = rank // rpn
-            core = rank % rpn
-            slot_arr = np.empty((grid.size, 3), dtype=np.int64)
-            slot_arr[:, 0] = node_idx % x_dim
-            slot_arr[:, 1] = (node_idx // x_dim) % y_dim
-            slot_arr[:, 2] = (node_idx // (x_dim * y_dim)) * rpn + core
-            return Placement(space=space, grid=grid, slots=slot_arr, name=self.name)
-        slots: list[SlotCoord] = []
-        for rank in range(grid.size):
-            node_idx = rank // rpn
-            core = rank % rpn
-            x, y, z = torus.coord_of(node_idx)
-            slots.append((x, y, z * rpn + core))
-        return Placement(space=space, grid=grid, slots=tuple(slots), name=self.name)
+        x_dim, y_dim, _ = torus.dims
+        rank = np.arange(grid.size, dtype=np.int64)
+        node_idx = rank // rpn
+        core = rank % rpn
+        slot_arr = np.empty((grid.size, 3), dtype=np.int64)
+        slot_arr[:, 0] = node_idx % x_dim
+        slot_arr[:, 1] = (node_idx // x_dim) % y_dim
+        slot_arr[:, 2] = (node_idx // (x_dim * y_dim)) * rpn + core
+        return Placement(space=space, grid=grid, slots=slot_arr, name=self.name)

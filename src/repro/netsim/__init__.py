@@ -7,15 +7,13 @@ its route (bandwidth is shared), plus software and per-hop latencies —
 the standard max-link-contention estimate. A communication *round* (one
 of WRF's 36 per step) completes when its slowest message completes.
 
-Two engines implement this model: the vectorized NumPy engine
-(:mod:`repro.netsim.engine`, the default) and the scalar pure-Python
-oracle (:mod:`repro.netsim.traffic` / :mod:`repro.netsim.contention`).
-``REPRO_NETSIM=scalar`` selects the oracle; the two are bit-identical on
-every shared metric.
+The vectorized NumPy engine (:mod:`repro.netsim.engine`) implements this
+model. The pure-Python simulator it replaced is the oracle in
+:mod:`repro.verify.reference.netsim`; the two are bit-identical on every
+shared metric.
 """
 
-from repro.netsim.traffic import LinkLoads, route_messages, RoutedMessage
-from repro.netsim.contention import round_time, message_time, CommEstimate
+from repro.netsim.contention import CommEstimate
 from repro.netsim.metrics import traffic_metrics, TrafficMetrics
 from repro.netsim.budget import (
     expansion_hop_limit,
@@ -28,7 +26,6 @@ from repro.netsim.engine import (
     LinkLoadVector,
     PlacementVector,
     RoutedExchange,
-    active_backend,
     as_placement,
     link_id_of,
     link_of_id,
@@ -44,18 +41,12 @@ __all__ = [
     "route_cache_budget_bytes",
     "route_exchange_streamed",
     "sparse_mode",
-    "LinkLoads",
-    "route_messages",
-    "RoutedMessage",
-    "round_time",
-    "message_time",
     "CommEstimate",
     "traffic_metrics",
     "TrafficMetrics",
     "LinkLoadVector",
     "PlacementVector",
     "RoutedExchange",
-    "active_backend",
     "as_placement",
     "link_id_of",
     "link_of_id",

@@ -12,17 +12,17 @@ route allows. Message time:
 and the round completes at the max over messages — the value the
 bulk-synchronous halo exchange waits for. Intra-node messages cost the
 software latency only (memory copies are folded into the compute term).
+
+:meth:`repro.netsim.engine.VectorBackend.round_estimate` evaluates the
+model over whole message columns; the message-by-message form is the
+oracle :func:`repro.verify.reference.netsim.round_time`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.netsim.traffic import LinkLoads, RoutedMessage
-from repro.topology.machines import Machine
-
-__all__ = ["CommEstimate", "message_time", "round_time"]
+__all__ = ["CommEstimate"]
 
 
 @dataclass(frozen=True)
@@ -43,36 +43,3 @@ class CommEstimate:
     def contention_excess(self) -> float:
         """Time lost to sharing links and hop latency (``time - ideal``)."""
         return max(0.0, self.time - self.ideal_time)
-
-
-def message_time(msg: RoutedMessage, loads: LinkLoads, machine: Machine) -> float:
-    """Completion time of one routed message under *loads*."""
-    t = machine.software_latency + msg.hops * machine.per_hop_latency
-    if msg.links:
-        worst = max(loads.load(link) for link in msg.links)
-        t += worst / machine.link_bandwidth
-    return t
-
-
-def round_time(
-    routed: Sequence[RoutedMessage], loads: LinkLoads, machine: Machine
-) -> CommEstimate:
-    """Cost of one exchange round (all messages concurrent)."""
-    if not routed:
-        return CommEstimate(time=0.0, ideal_time=0.0, average_hops=0.0, max_link_bytes=0)
-    worst = 0.0
-    ideal = 0.0
-    hops_total = 0
-    for msg in routed:
-        worst = max(worst, message_time(msg, loads, machine))
-        ideal = max(
-            ideal,
-            machine.software_latency + msg.nbytes / machine.link_bandwidth,
-        )
-        hops_total += msg.hops
-    return CommEstimate(
-        time=worst,
-        ideal_time=ideal,
-        average_hops=hops_total / len(routed),
-        max_link_bytes=loads.max_load(),
-    )

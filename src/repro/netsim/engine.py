@@ -1,11 +1,10 @@
 """Vectorized torus network engine.
 
-The scalar simulator (:mod:`repro.netsim.traffic` /
-:mod:`repro.netsim.contention`) routes every halo message hop-by-hop in
-Python and accumulates loads in a per-link dict — O(messages x hops)
-interpreter work repeated identically every round, timestep, and sweep
-configuration. This module replaces that hot path with NumPy array
-kernels that are bit-identical to the scalar oracle:
+The reference simulator (:mod:`repro.verify.reference.netsim`) routes
+every halo message hop-by-hop in Python and accumulates loads in a
+per-link dict — O(messages x hops) interpreter work repeated identically
+every round, timestep, and sweep configuration. This module is the
+production engine: NumPy array kernels, bit-identical to the reference:
 
 * **Dense link ids.** Each directed link is an integer
   ``(node_index * 3 + dim) * 2 + direction_bit`` (``direction_bit`` 0 for
@@ -38,9 +37,9 @@ kernels that are bit-identical to the scalar oracle:
   byte counts stay ``int64`` throughout.
 * **Array pricing.** Round link loads come from ``np.bincount``; each
   message's worst-link bytes from a sorted-segment
-  ``np.maximum.reduceat``; ``round_time`` / ``CommEstimate`` from array
-  reductions, with the exact floating-point operation order of the scalar
-  model so results match bit for bit.
+  ``np.maximum.reduceat``; the round's ``CommEstimate`` from array
+  reductions, with the exact floating-point operation order of the
+  reference model so results match bit for bit.
 * **Route cache.** The identical exchange repeats every round, timestep,
   and sweep config, so routed exchanges are memoised under
   ``(torus dims, placement digest, message-set digest)`` in one
@@ -49,37 +48,32 @@ kernels that are bit-identical to the scalar oracle:
   cache residency scales with the configured memory, not the rank
   count. Counters are exposed via :func:`route_cache_stats`.
 
-The scalar implementation remains available as a parity oracle: set
-``REPRO_NETSIM=scalar`` to route every exchange through it (the
-hypothesis suites in ``tests/netsim/test_engine_parity.py`` and
-``tests/netsim/test_streaming_parity.py`` prove all paths agree
-exactly).
+The hypothesis suites in ``tests/netsim/test_engine_parity.py`` and
+``tests/netsim/test_streaming_parity.py`` compare every path against the
+reference simulator and require exact agreement.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.exec.cache import BoundedCache
 from repro.netsim.budget import (
     expansion_hop_limit,
     route_cache_budget_bytes,
     sparse_mode,
 )
-from repro.netsim.contention import CommEstimate, round_time
+from repro.netsim.contention import CommEstimate
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.metrics import gauge as _obs_gauge
 from repro.obs.metrics import histogram as _obs_histogram
-from repro.netsim.traffic import LinkLoads, RoutedMessage, route_messages
-from repro.runtime.halo import HaloBatch, HaloMessage
+from repro.runtime.halo import HaloBatch
 from repro.topology.routing import ring_steps_array
-from repro.topology.torus import Link, Torus3D, TorusCoord
+from repro.topology.torus import Link, Torus3D
 
 __all__ = [
     "LINKS_PER_NODE",
@@ -91,10 +85,7 @@ __all__ = [
     "RoutedExchange",
     "LinkLoadVector",
     "VectorBackend",
-    "ScalarBackend",
     "VECTOR",
-    "SCALAR",
-    "active_backend",
     "route_exchange_streamed",
     "route_cache_stats",
     "reset_route_cache",
@@ -154,29 +145,20 @@ def link_of_id(torus: Torus3D, link_id: int) -> Link:
 class PlacementVector:
     """A rank placement prepared for array routing.
 
-    Holds the per-rank node coordinates both as the original sequence (for
-    the scalar oracle) and as an ``(N, 3)`` ``int64`` array, plus a digest
-    of the coordinate bytes that keys the route cache. Build one per
-    placement (``simulate_iteration`` does) so the conversion and digest
-    are shared by the parent and every sibling exchange.
+    Holds the per-rank node coordinates as an ``(N, 3)`` ``int64`` array
+    (:meth:`~repro.core.mapping.base.Placement.nodes_array`), plus a
+    digest of the coordinate bytes that keys the route cache. Build one
+    per placement (``simulate_iteration`` does) so the digest is shared by
+    the parent and every sibling exchange.
     """
 
-    __slots__ = ("torus", "_nodes", "coords", "node_ranks", "digest")
+    __slots__ = ("torus", "coords", "node_ranks", "digest")
 
-    def __init__(
-        self, torus: Torus3D, nodes: Union[np.ndarray, Sequence[TorusCoord]]
-    ):
+    def __init__(self, torus: Torus3D, nodes: np.ndarray):
         self.torus = torus
-        if isinstance(nodes, np.ndarray):
-            # Array pipeline: take the (N, 3) coordinate array directly;
-            # the tuple form is materialised lazily (scalar oracle only).
-            self._nodes = None
-            self.coords = np.ascontiguousarray(nodes, dtype=np.int64).reshape(
-                len(nodes), 3
-            )
-        else:
-            self._nodes = nodes
-            self.coords = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+        self.coords = np.ascontiguousarray(nodes, dtype=np.int64).reshape(
+            len(nodes), 3
+        )
         x_dim, y_dim, _ = torus.dims
         self.node_ranks = self.coords[:, 0] + x_dim * (
             self.coords[:, 1] + y_dim * self.coords[:, 2]
@@ -185,18 +167,11 @@ class PlacementVector:
             self.coords.tobytes(), digest_size=16
         ).digest()
 
-    @property
-    def nodes(self) -> Sequence[TorusCoord]:
-        """Per-rank node coordinates as tuples (for the scalar oracle)."""
-        if self._nodes is None:
-            self._nodes = [tuple(row) for row in self.coords.tolist()]
-        return self._nodes
-
     def __len__(self) -> int:
         return len(self.coords)
 
 
-PlacementLike = Union[PlacementVector, np.ndarray, Sequence[TorusCoord]]
+PlacementLike = Union[PlacementVector, np.ndarray]
 
 
 def as_placement(torus: Torus3D, nodes: PlacementLike) -> PlacementVector:
@@ -204,14 +179,6 @@ def as_placement(torus: Torus3D, nodes: PlacementLike) -> PlacementVector:
     if isinstance(nodes, PlacementVector):
         return nodes
     return PlacementVector(torus, nodes)
-
-
-def _plain_nodes(nodes: PlacementLike) -> Sequence[TorusCoord]:
-    if isinstance(nodes, PlacementVector):
-        return nodes.nodes
-    if isinstance(nodes, np.ndarray):
-        return [tuple(row) for row in nodes.tolist()]
-    return nodes
 
 
 # ----------------------------------------------------------------------
@@ -233,9 +200,9 @@ def _merge_sparse(
 class LinkLoadVector:
     """Accumulated bytes per directed link.
 
-    Mirrors the :class:`~repro.netsim.traffic.LinkLoads` API so pricing
-    and tests can treat both uniformly. Two representations live behind
-    the one interface:
+    Mirrors the reference :class:`~repro.verify.reference.netsim.LinkLoads`
+    API so parity tests can compare the two directly. Two representations
+    live behind the one interface:
 
     * **dense** — a flat ``int64`` vector indexed by the dense link id
       (the original form, default);
@@ -378,32 +345,6 @@ class LinkLoadVector:
 # ----------------------------------------------------------------------
 # The array routing kernel
 # ----------------------------------------------------------------------
-def _message_arrays(
-    messages: Union[HaloBatch, Sequence[HaloMessage]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(messages, HaloBatch):
-        return messages.src, messages.dst, messages.nbytes
-    n = len(messages)
-    src = np.fromiter((m.src for m in messages), dtype=np.int64, count=n)
-    dst = np.fromiter((m.dst for m in messages), dtype=np.int64, count=n)
-    nbytes = np.fromiter((m.nbytes for m in messages), dtype=np.int64, count=n)
-    return src, dst, nbytes
-
-
-def _message_digest(messages, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray) -> bytes:
-    """Digest of the message columns (identical for list/batch/shared forms)."""
-    if isinstance(messages, HaloBatch):
-        # Batches memoise their digest; shared-memory batches arrive with
-        # it pre-seeded by the publisher, so workers never rehash the
-        # columns (see repro.exec.shm).
-        return messages.digest()
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(src.tobytes())
-    digest.update(dst.tobytes())
-    digest.update(nbytes.tobytes())
-    return digest.digest()
-
-
 def _coords_of_ranks(dims: tuple[int, int, int], ranks: np.ndarray) -> np.ndarray:
     """Decode linear node ranks to ``(N, 3)`` coordinates (x fastest)."""
     x_dim, y_dim, _ = dims
@@ -668,26 +609,23 @@ reset_route_cache = _ROUTE_CACHE.clear
 
 
 # ----------------------------------------------------------------------
-# Backends
+# The engine
 # ----------------------------------------------------------------------
 class VectorBackend:
-    """The NumPy array engine (default)."""
-
-    name = "vector"
+    """The NumPy array engine."""
 
     def route_exchange(
         self,
         torus: Torus3D,
         placement_nodes: PlacementLike,
-        messages: Iterable[HaloMessage],
+        messages: HaloBatch,
     ) -> tuple[RoutedExchange, LinkLoadVector]:
         """Route one exchange round; loads are read-only (cache-shared)."""
         placement = as_placement(torus, placement_nodes)
-        if not isinstance(messages, (list, tuple, HaloBatch)):
-            messages = list(messages)
-        src, dst, nbytes = _message_arrays(messages)
-
-        key = (torus.dims, placement.digest, _message_digest(messages, src, dst, nbytes))
+        # Batches memoise their digest; shared-memory batches arrive with
+        # it pre-seeded by the publisher, so workers never rehash the
+        # columns (see repro.exec.shm).
+        key = (torus.dims, placement.digest, messages.digest())
         cached = _ROUTE_CACHE.get(key)
         if cached is not None:
             return cached
@@ -696,9 +634,7 @@ class VectorBackend:
         exchange = self._route_uncached(
             torus,
             placement,
-            src,
-            dst,
-            nbytes,
+            messages,
             hop_limit=expansion_hop_limit(),
             sparse=sparse_mode(num_links),
         )
@@ -709,14 +645,13 @@ class VectorBackend:
         self,
         torus: Torus3D,
         placement: PlacementVector,
-        src: np.ndarray,
-        dst: np.ndarray,
-        nbytes: np.ndarray,
+        messages: HaloBatch,
         *,
         hop_limit: int,
         sparse: bool,
     ) -> tuple[RoutedExchange, LinkLoadVector]:
         """The routing pipeline with explicit streaming parameters."""
+        src, dst, nbytes = messages.src, messages.dst, messages.nbytes
         # Dedup to unique (src node, dst node) pairs: co-located ranks and
         # symmetric halo patterns make pairs far fewer than messages.
         n_nodes = torus.num_nodes
@@ -822,15 +757,12 @@ class VectorBackend:
             raise OverflowError(
                 f"link load {max_link} bytes reaches 2**53, beyond the exact "
                 "range of the engine's float64 accumulators; results would "
-                "round instead of wrapping. Split the exchange or use "
-                "REPRO_NETSIM=scalar (exact arbitrary-precision integers)."
+                "round instead of wrapping. Split the exchange."
             )
         _MAX_LINK_BYTES.set_max(max_link)
         _LINK_EXTREMES.observe(max_link)
+        # The message columns arrive read-only (HaloBatch freezes them).
         _freeze(
-            src,
-            dst,
-            nbytes,
             hops,
             inverse,
             pair_hops,
@@ -867,13 +799,14 @@ class VectorBackend:
     def round_estimate(
         self, routed: RoutedExchange, loads: LinkLoadVector, machine
     ) -> CommEstimate:
-        """Array form of :func:`repro.netsim.contention.round_time`.
+        """Price one routed round with the :mod:`repro.netsim.contention` model.
 
-        Bit-identical to the scalar model: every elementwise expression
-        reproduces the scalar operation order. Streamed exchanges
-        re-expand their routes chunk by chunk; the per-pair worst-link
-        maximum is order-independent, so the result is identical to the
-        one-shot form.
+        Bit-identical to the reference
+        :func:`~repro.verify.reference.netsim.round_time`: every
+        elementwise expression reproduces its operation order. Streamed
+        exchanges re-expand their routes chunk by chunk; the per-pair
+        worst-link maximum is order-independent, so the result is
+        identical to the one-shot form.
         """
         m = routed.num_messages
         if m == 0:
@@ -903,40 +836,13 @@ class VectorBackend:
         )
 
 
-class ScalarBackend:
-    """The original pure-Python implementation, kept as a parity oracle."""
-
-    name = "scalar"
-
-    def route_exchange(
-        self,
-        torus: Torus3D,
-        placement_nodes: PlacementLike,
-        messages: Iterable[HaloMessage],
-    ) -> tuple[List[RoutedMessage], LinkLoads]:
-        if isinstance(messages, HaloBatch):
-            messages = messages.to_messages()
-        return route_messages(torus, _plain_nodes(placement_nodes), messages)
-
-    def empty_loads(self, torus: Torus3D) -> LinkLoads:
-        return LinkLoads()
-
-    def round_estimate(
-        self, routed: Sequence[RoutedMessage], loads: LinkLoads, machine
-    ) -> CommEstimate:
-        return round_time(routed, loads, machine)
-
-
 VECTOR = VectorBackend()
-SCALAR = ScalarBackend()
-
-_BACKENDS = {"vector": VECTOR, "scalar": SCALAR}
 
 
 def route_exchange_streamed(
     torus: Torus3D,
     placement_nodes: PlacementLike,
-    messages: Iterable[HaloMessage],
+    messages: HaloBatch,
     *,
     max_expand_hops: Optional[int] = None,
     sparse: bool = False,
@@ -947,28 +853,15 @@ def route_exchange_streamed(
     ``netsim-streaming-parity`` verify oracle call this with arbitrary
     chunk limits and representations and assert the result is
     bit-identical to :meth:`VectorBackend.route_exchange` (and to the
-    scalar oracle). Bypasses the route cache so a cached one-shot entry
-    can never mask the streamed code path.
+    reference simulator). Bypasses the route cache so a cached one-shot
+    entry can never mask the streamed code path.
     """
     placement = as_placement(torus, placement_nodes)
-    if not isinstance(messages, (list, tuple, HaloBatch)):
-        messages = list(messages)
-    src, dst, nbytes = _message_arrays(messages)
     if max_expand_hops is None:
         hop_limit = expansion_hop_limit()
     else:
         hop_limit = max(1, int(max_expand_hops))
     return VECTOR._route_uncached(
-        torus, placement, src, dst, nbytes, hop_limit=hop_limit, sparse=sparse
+        torus, placement, messages, hop_limit=hop_limit, sparse=sparse
     )
 
-
-def active_backend() -> VectorBackend | ScalarBackend:
-    """The engine selected by ``REPRO_NETSIM`` (default: ``vector``)."""
-    name = os.environ.get("REPRO_NETSIM", "vector").strip().lower() or "vector"
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"REPRO_NETSIM={name!r}: expected one of {sorted(_BACKENDS)}"
-        ) from None

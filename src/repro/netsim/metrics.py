@@ -1,19 +1,17 @@
 """Aggregate traffic metrics for reports (Fig 12-style numbers).
 
-Works on either engine's output: a scalar list of
-:class:`~repro.netsim.traffic.RoutedMessage` with dict-backed
-:class:`~repro.netsim.traffic.LinkLoads`, or the vectorized
-:class:`~repro.netsim.engine.RoutedExchange` with a dense
-:class:`~repro.netsim.engine.LinkLoadVector` — both reduce to the same
-:class:`TrafficMetrics`.
+Reduces a routed :class:`~repro.netsim.engine.RoutedExchange` and its
+:class:`~repro.netsim.engine.LinkLoadVector` to one
+:class:`TrafficMetrics`. The reference engine's summary of the same
+exchange (:func:`repro.verify.reference.netsim.traffic_metrics`) is
+equal field for field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
-from repro.netsim.traffic import LinkLoads, RoutedMessage
+from repro.netsim.engine import LinkLoadVector, RoutedExchange
 
 __all__ = ["TrafficMetrics", "traffic_metrics"]
 
@@ -37,22 +35,10 @@ class TrafficMetrics:
         )
 
 
-def _scalar_metrics(
-    routed: Sequence[RoutedMessage], loads: LinkLoads
-) -> TrafficMetrics:
-    hops = [m.hops for m in routed]
-    return TrafficMetrics(
-        num_messages=len(routed),
-        total_bytes=sum(m.nbytes for m in routed),
-        average_hops=sum(hops) / len(hops),
-        max_hops=max(hops),
-        hop_bytes=sum(m.hops * m.nbytes for m in routed),
-        max_link_bytes=loads.max_load(),
-        loaded_links=loads.num_loaded_links(),
-    )
-
-
-def _vector_metrics(routed, loads) -> TrafficMetrics:
+def traffic_metrics(routed: RoutedExchange, loads: LinkLoadVector) -> TrafficMetrics:
+    """Summarise a routed exchange and its link *loads*."""
+    if not len(routed):
+        return TrafficMetrics(0, 0, 0.0, 0, 0, 0, 0)
     return TrafficMetrics(
         num_messages=routed.num_messages,
         total_bytes=int(routed.nbytes.sum()),
@@ -62,17 +48,3 @@ def _vector_metrics(routed, loads) -> TrafficMetrics:
         max_link_bytes=loads.max_load(),
         loaded_links=loads.num_loaded_links(),
     )
-
-
-def traffic_metrics(
-    routed: Union[Sequence[RoutedMessage], "RoutedExchange"],  # noqa: F821
-    loads: Union[LinkLoads, "LinkLoadVector"],  # noqa: F821
-) -> TrafficMetrics:
-    """Summarise *routed* messages and their *loads* (either engine)."""
-    if not len(routed):
-        return TrafficMetrics(0, 0, 0.0, 0, 0, 0, 0)
-    from repro.netsim.engine import RoutedExchange
-
-    if isinstance(routed, RoutedExchange):
-        return _vector_metrics(routed, loads)
-    return _scalar_metrics(routed, loads)

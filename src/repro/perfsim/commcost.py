@@ -1,7 +1,7 @@
 """Per-step halo-communication cost under a placement.
 
 One exchange round's messages are built from the domain decomposition
-(:func:`repro.runtime.halo.halo_messages`), routed over the torus, and
+(:func:`repro.runtime.halo.halo_batch`), routed over the torus, and
 priced with the max-link contention model; the step performs
 ``rounds_per_step`` identical rounds. When several siblings exchange
 *concurrently* (the parallel strategy), all their messages share the
@@ -9,12 +9,11 @@ network: link loads accumulate across siblings before any message is
 priced, so a bad placement of one sibling slows its neighbours — exactly
 the congestion effect the paper's mappings relieve.
 
-Routing and pricing go through the active network engine
-(:func:`repro.netsim.engine.active_backend`): the vectorized NumPy
-engine by default, or the scalar oracle when ``REPRO_NETSIM=scalar``.
-Callers may pass ``placement_nodes`` either as a plain coordinate
-sequence or pre-wrapped in a
-:class:`~repro.netsim.engine.PlacementVector` (as
+Routing and pricing go through the vectorized network engine
+(:data:`repro.netsim.engine.VECTOR`). Callers may pass
+``placement_nodes`` either as the ``(N, 3)`` node array of
+:meth:`~repro.core.mapping.base.Placement.nodes_array` or pre-wrapped in
+a :class:`~repro.netsim.engine.PlacementVector` (as
 ``simulate_iteration`` does) so one placement digest serves every
 exchange of an iteration.
 """
@@ -25,11 +24,10 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.netsim.contention import CommEstimate
-from repro.netsim.engine import PlacementLike, active_backend
+from repro.netsim.engine import VECTOR, PlacementLike
 from repro.obs.trace import tracer
 from repro.perfsim.params import WorkloadParams
-from repro.runtime.backend import placement_backend
-from repro.runtime.halo import HaloSpec, halo_batch, halo_messages
+from repro.runtime.halo import halo_batch
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.machines import Machine
 from repro.topology.torus import Torus3D
@@ -58,18 +56,6 @@ class CommCost:
         return CommCost(0.0, 0.0, 0.0, 0.0, 0)
 
 
-def _build_messages(grid: ProcessGrid, rect: GridRect, nx: int, ny: int, spec: HaloSpec):
-    """One exchange round's messages, in the active placement backend's form.
-
-    The vector backend hands the engine a :class:`HaloBatch` (column
-    arrays, no per-message objects); the scalar oracle keeps the original
-    object list. Both forms digest identically in the route cache.
-    """
-    if placement_backend() == "vector":
-        return halo_batch(grid, rect, nx, ny, spec)
-    return halo_messages(grid, rect, nx, ny, spec)
-
-
 def _cost_from_estimate(est: CommEstimate, rounds: int) -> CommCost:
     return CommCost(
         time=est.time * rounds,
@@ -91,23 +77,21 @@ def halo_comm_cost(
     workload: WorkloadParams,
 ) -> CommCost:
     """Per-step halo cost of one domain exchanging alone on the network."""
-    msgs = _build_messages(grid, rect, nx, ny, workload.halo)
+    msgs = halo_batch(grid, rect, nx, ny, workload.halo)
     if not msgs:
         return CommCost.zero()
-    engine = active_backend()
     tr = tracer()
     if tr.enabled:
         # Attrs are built only on the enabled path: halo_exchange is on
         # the sweep hot path and must stay allocation-free when off.
         with tr.span(
-            "netsim.halo_exchange",
-            {"nx": nx, "ny": ny, "messages": len(msgs), "backend": engine.name},
+            "netsim.halo_exchange", {"nx": nx, "ny": ny, "messages": len(msgs)}
         ):
-            routed, loads = engine.route_exchange(torus, placement_nodes, msgs)
-            est = engine.round_estimate(routed, loads, machine)
+            routed, loads = VECTOR.route_exchange(torus, placement_nodes, msgs)
+            est = VECTOR.round_estimate(routed, loads, machine)
     else:
-        routed, loads = engine.route_exchange(torus, placement_nodes, msgs)
-        est = engine.round_estimate(routed, loads, machine)
+        routed, loads = VECTOR.route_exchange(torus, placement_nodes, msgs)
+        est = VECTOR.round_estimate(routed, loads, machine)
     return _cost_from_estimate(est, workload.halo.rounds_per_step)
 
 
@@ -126,14 +110,13 @@ def concurrent_comm_costs(
     sibling's round time is then the max over *its own* messages under
     those shared loads.
     """
-    engine = active_backend()
     tr = tracer()
     per_sibling = []
-    shared = engine.empty_loads(torus)
+    shared = VECTOR.empty_loads(torus)
     with tr.span("netsim.concurrent_exchange"):
         for rect, (nx, ny) in zip(rects, domains):
-            msgs = _build_messages(grid, rect, nx, ny, workload.halo)
-            routed, local = engine.route_exchange(torus, placement_nodes, msgs)
+            msgs = halo_batch(grid, rect, nx, ny, workload.halo)
+            routed, local = VECTOR.route_exchange(torus, placement_nodes, msgs)
             per_sibling.append(routed)
             shared.merge(local)
     out: List[CommCost] = []
@@ -141,6 +124,6 @@ def concurrent_comm_costs(
         if not len(routed):
             out.append(CommCost.zero())
             continue
-        est = engine.round_estimate(routed, shared, machine)
+        est = VECTOR.round_estimate(routed, shared, machine)
         out.append(_cost_from_estimate(est, workload.halo.rounds_per_step))
     return out

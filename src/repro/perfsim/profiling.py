@@ -17,7 +17,6 @@ from repro.perfsim.commcost import halo_comm_cost
 from repro.perfsim.compute import compute_time
 from repro.perfsim.iteration import StepCost, step_cost
 from repro.perfsim.params import WorkloadParams
-from repro.runtime.backend import placement_backend
 from repro.runtime.decomposition import choose_process_grid
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.machines import Machine
@@ -42,18 +41,13 @@ def profile_step(
     space = SlotSpace(torus, rpn)
     placement = cached_placement(mapping or ObliviousMapping(), grid, space)
     comp = compute_time(spec.nx, spec.ny, grid.px, grid.py, machine, workload)
-    nodes = (
-        placement.nodes_array()
-        if placement_backend() == "vector"
-        else placement.nodes()
-    )
     comm = halo_comm_cost(
         grid,
         grid.full_rect(),
         spec.nx,
         spec.ny,
         torus,
-        nodes,
+        placement.nodes_array(),
         machine,
         workload,
     )

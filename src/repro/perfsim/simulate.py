@@ -19,7 +19,6 @@ from repro.errors import SimulationError
 from repro.exec.placementcache import cached_placement
 from repro.iosim.model import IoModel
 from repro.netsim.engine import as_placement
-from repro.runtime.backend import placement_backend
 from repro.obs.metrics import sample_rss
 from repro.obs.trace import tracer
 from repro.perfsim.commcost import CommCost, concurrent_comm_costs, halo_comm_cost
@@ -211,14 +210,9 @@ def _simulate(
         )
     torus = placement.space.torus
     # One PlacementVector serves the parent and every sibling exchange:
-    # the coordinate array and cache digest are computed once per
-    # iteration instead of once per comm-cost call. Under the array
-    # backend the (N, 3) node array feeds the engine directly; the
-    # scalar oracle goes through the original tuple list.
-    if placement_backend() == "vector":
-        nodes = as_placement(torus, placement.nodes_array())
-    else:
-        nodes = as_placement(torus, placement.nodes())
+    # the cache digest of the (N, 3) node array is computed once per
+    # iteration instead of once per comm-cost call.
+    nodes = as_placement(torus, placement.nodes_array())
 
     # ------------------------------------------------------------ parent
     with tr.span("perfsim.parent_step"):

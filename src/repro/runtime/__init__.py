@@ -26,7 +26,7 @@ from repro.runtime.decomposition import (
     choose_process_grid,
     tile_dims,
 )
-from repro.runtime.halo import HaloSpec, HaloMessage, halo_messages
+from repro.runtime.halo import HaloBatch, HaloSpec, halo_batch
 
 __all__ = [
     "ProcessGrid",
@@ -37,6 +37,6 @@ __all__ = [
     "choose_process_grid",
     "tile_dims",
     "HaloSpec",
-    "HaloMessage",
-    "halo_messages",
+    "HaloBatch",
+    "halo_batch",
 ]

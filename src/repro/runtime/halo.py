@@ -8,38 +8,25 @@ columns over all vertical levels and exchanged variables; north/south
 messages carry ``tile_width x halo_width`` rows.
 
 This module turns a (domain, sub-grid rectangle) pair into the messages
-of one exchange round, in two equivalent forms: the explicit list of
-:class:`HaloMessage` objects (the scalar parity oracle) and the
-:class:`HaloBatch` column arrays built in one shot by
-:func:`halo_messages_array` from the decomposition's row/column edge
-vectors. :func:`halo_batch` dispatches on ``REPRO_PLACEMENT``; both
-orders and values are bit-identical, so either form keys the network
-engine's route cache the same way. The network simulator routes each
-message over the torus and the cost model multiplies by the number of
-rounds.
+of one exchange round: :func:`halo_batch` builds the :class:`HaloBatch`
+column arrays in one shot from the decomposition's row/column edge
+vectors. The network simulator routes each message over the torus and
+the cost model multiplies by the number of rounds. The per-message
+builder it replaced is the oracle in :mod:`repro.verify.reference.halo`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from repro.runtime.backend import placement_backend
 from repro.runtime.decomposition import decompose
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.util.validation import check_positive_int
 
-__all__ = [
-    "HaloSpec",
-    "HaloMessage",
-    "HaloBatch",
-    "halo_messages",
-    "halo_messages_array",
-    "halo_batch",
-]
+__all__ = ["HaloSpec", "HaloBatch", "halo_batch"]
 
 #: Paper Sec 3.3: "each integration time-step involves 144 message
 #: exchanges with the four neighbouring processes".
@@ -83,22 +70,12 @@ class HaloSpec:
 
 
 @dataclass(frozen=True)
-class HaloMessage:
-    """One directional halo message between world ranks in one round."""
-
-    src: int
-    dst: int
-    nbytes: int
-
-
-@dataclass(frozen=True)
 class HaloBatch:
     """One exchange round as ``(src, dst, nbytes)`` column arrays.
 
-    The array form of a :func:`halo_messages` list: ``int64`` columns in
-    the exact message order of the scalar builder (row-major cells, each
-    emitting west, east, north, south). All arrays are read-only so
-    batches can be shared and cached safely.
+    ``int64`` columns in message order: row-major cells, each emitting
+    west, east, north, south. All arrays are read-only so batches can be
+    shared and cached safely.
     """
 
     src: np.ndarray
@@ -115,11 +92,10 @@ class HaloBatch:
     def digest(self) -> bytes:
         """Digest of the column bytes; keys the network route cache.
 
-        Identical to hashing the equivalent message list's columns, so
-        list, batch, and shared-memory forms of one round share cache
-        entries. Memoised on first use (the arrays are read-only);
-        shared-memory consumers pre-seed it from the segment metadata so
-        attaching never rehashes the columns (see :mod:`repro.exec.shm`).
+        Batch and shared-memory forms of one round share cache entries.
+        Memoised on first use (the arrays are read-only); shared-memory
+        consumers pre-seed it from the segment metadata so attaching
+        never rehashes the columns (see :mod:`repro.exec.shm`).
         """
         cached = getattr(self, "_digest", None)
         if cached is not None:
@@ -132,76 +108,25 @@ class HaloBatch:
         object.__setattr__(self, "_digest", value)
         return value
 
-    def to_messages(self) -> List[HaloMessage]:
-        """Materialise the equivalent :class:`HaloMessage` objects."""
-        return [
-            HaloMessage(s, d, b)
-            for s, d, b in zip(
-                self.src.tolist(), self.dst.tolist(), self.nbytes.tolist()
-            )
-        ]
 
-    @classmethod
-    def from_messages(cls, messages: List[HaloMessage]) -> "HaloBatch":
-        """Column arrays of an existing message list (parity tests)."""
-        n = len(messages)
-        return cls(
-            src=np.fromiter((m.src for m in messages), dtype=np.int64, count=n),
-            dst=np.fromiter((m.dst for m in messages), dtype=np.int64, count=n),
-            nbytes=np.fromiter((m.nbytes for m in messages), dtype=np.int64, count=n),
-        )
-
-
-def halo_messages(
-    grid: ProcessGrid,
-    rect: GridRect,
-    nx: int,
-    ny: int,
-    spec: HaloSpec,
-) -> List[HaloMessage]:
-    """All messages of one halo-exchange round of a nest on *rect*.
-
-    The nest's ``nx x ny`` domain is block-decomposed over the rectangle's
-    ``width x height`` sub-grid. Every rank sends to each existing
-    neighbour (boundary tiles have fewer neighbours). Message sizes use
-    the *sender's* tile edge, matching how WRF packs its halo strips.
-    """
-    dec = decompose(nx, ny, rect.width, rect.height)
-    msgs: List[HaloMessage] = []
-    for py in range(rect.height):
-        for px in range(rect.width):
-            src = grid.rank_of(rect.x0 + px, rect.y0 + py)
-            w = dec.col_widths[px]
-            h = dec.row_heights[py]
-            # East/west messages carry a vertical strip of `h` points.
-            for dx in (-1, 1):
-                qx = px + dx
-                if 0 <= qx < rect.width:
-                    dst = grid.rank_of(rect.x0 + qx, rect.y0 + py)
-                    msgs.append(HaloMessage(src, dst, spec.strip_bytes(h)))
-            # North/south messages carry a horizontal strip of `w` points.
-            for dy in (-1, 1):
-                qy = py + dy
-                if 0 <= qy < rect.height:
-                    dst = grid.rank_of(rect.x0 + px, rect.y0 + qy)
-                    msgs.append(HaloMessage(src, dst, spec.strip_bytes(w)))
-    return msgs
-
-
-def halo_messages_array(
+def halo_batch(
     grid: ProcessGrid,
     rect: GridRect,
     nx: int,
     ny: int,
     spec: HaloSpec,
 ) -> HaloBatch:
-    """One exchange round as column arrays, built without a Python loop.
+    """All messages of one halo-exchange round of a nest on *rect*.
 
-    Bit-identical to :func:`halo_messages` (same message order, same
-    integer sizes): per-cell candidate arrays for the four directions are
-    stacked as ``(rows, cols, 4)`` and flattened in C order — exactly the
-    scalar builder's row-major cell walk with its west, east, north,
-    south emission order — then masked down to the neighbours that exist.
+    The nest's ``nx x ny`` domain is block-decomposed over the rectangle's
+    ``width x height`` sub-grid. Every rank sends to each existing
+    neighbour (boundary tiles have fewer neighbours). Message sizes use
+    the *sender's* tile edge, matching how WRF packs its halo strips.
+
+    Built without a Python loop: per-cell candidate arrays for the four
+    directions are stacked as ``(rows, cols, 4)`` and flattened in C
+    order (a row-major cell walk with west, east, north, south emission
+    order), then masked down to the neighbours that exist.
     """
     dec = decompose(nx, ny, rect.width, rect.height)
     w, h = rect.width, rect.height
@@ -217,7 +142,7 @@ def halo_messages_array(
     gy = rect.y0 + np.arange(h, dtype=np.int64)
     ranks = gy[:, None] * px_full + gx[None, :]  # (h, w), row-major ranks
 
-    # Candidate (dst, nbytes, valid) per direction, scalar emission order:
+    # Candidate (dst, nbytes, valid) per direction, emission order:
     # west (px-1), east (px+1), north (py-1), south (py+1).
     dst = np.stack(
         [ranks - 1, ranks + 1, ranks - px_full, ranks + px_full], axis=2
@@ -245,20 +170,3 @@ def halo_messages_array(
         nbytes=nbytes.reshape(-1)[keep],
     )
 
-
-def halo_batch(
-    grid: ProcessGrid,
-    rect: GridRect,
-    nx: int,
-    ny: int,
-    spec: HaloSpec,
-) -> HaloBatch:
-    """The exchange round in batch form, built by the active backend.
-
-    ``REPRO_PLACEMENT=vector`` (default) builds the columns directly;
-    the scalar oracle builds the object list and converts, so both
-    backends hand downstream consumers identical arrays.
-    """
-    if placement_backend() == "vector":
-        return halo_messages_array(grid, rect, nx, ny, spec)
-    return HaloBatch.from_messages(halo_messages(grid, rect, nx, ny, spec))

@@ -30,8 +30,10 @@ Registered invariants
     sync waits, at least one of them zero; a single sibling makes the two
     strategies exactly equal (the one-sibling regression guard).
 ``netsim-parity``
-    The vectorized network engine and the scalar oracle agree exactly on
-    a halo exchange drawn from the scenario's own placement.
+    The production path (``halo_batch`` -> vectorized engine -> round
+    estimate) and the reference path (``halo_messages`` ->
+    ``route_messages`` -> ``round_time``) agree exactly on a halo
+    exchange drawn from the scenario's own placement.
 ``netsim-streaming-parity``
     Chunked expansion under a deliberately tiny hop limit with sparse
     link-load accumulation reproduces the one-shot dense result — loads,
@@ -48,12 +50,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.scheduler.strategies import SequentialStrategy
-from repro.netsim.engine import SCALAR, VECTOR, route_exchange_streamed
+from repro.netsim.engine import VECTOR, as_placement, route_exchange_streamed
 from repro.netsim.metrics import traffic_metrics
 from repro.perfsim.simulate import IterationReport, effective_rect, simulate_iteration
 from repro.runtime.decomposition import choose_process_grid
-from repro.runtime.halo import HaloSpec, halo_messages
+from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import GridRect, ProcessGrid
+from repro.verify.reference import netsim as ref_netsim
+from repro.verify.reference.halo import halo_messages
 from repro.verify.scenarios import ScenarioRun
 
 __all__ = [
@@ -339,33 +343,53 @@ def check_strategy_bounds(run: ScenarioRun) -> None:
         )
 
 
-@oracle("netsim-parity")
-def check_netsim_parity(run: ScenarioRun) -> None:
-    """Scalar and vectorized engines agree on a scenario-drawn exchange."""
-    # Smallest sibling rectangle, capped so the scalar oracle stays cheap.
+def _parity_exchange(run: ScenarioRun):
+    """The smallest sibling's exchange, capped so the reference stays cheap.
+
+    Returns ``(grid, rect, nx, ny)``.
+    """
     rect = min(run.par_plan.rects, key=lambda r: r.area)
     a = next(x for x in run.par_plan.assignments if x.rect == rect)
     rect = effective_rect(rect, a.domain.nx, a.domain.ny)
     rect = GridRect(rect.x0, rect.y0, min(rect.width, 16), min(rect.height, 16))
-    msgs = halo_messages(run.grid, rect, a.domain.nx, a.domain.ny, HaloSpec())
-    if not msgs:  # single-rank rectangle: nothing to route
+    return run.grid, rect, a.domain.nx, a.domain.ny
+
+
+@oracle("netsim-parity")
+def check_netsim_parity(run: ScenarioRun) -> None:
+    """Production and reference paths agree on a scenario-drawn exchange.
+
+    Each path builds its own messages from the same rectangle and routes
+    them over the same placement: a divergence in halo construction,
+    routing, link loads, or pricing fails the check.
+    """
+    grid, rect, nx, ny = _parity_exchange(run)
+    batch = halo_batch(grid, rect, nx, ny, HaloSpec())
+    msgs = halo_messages(grid, rect, nx, ny, HaloSpec())
+    if not batch and not msgs:  # single-rank rectangle: nothing to route
         return
     torus = run.placement.space.torus
-    nodes = run.placement.nodes()
+    placement = run.placement
 
-    routed_s, loads_s = SCALAR.route_exchange(torus, nodes, msgs)
-    routed_v, loads_v = VECTOR.route_exchange(torus, nodes, msgs)
-    m_s = traffic_metrics(routed_s, loads_s)
+    routed_v, loads_v = VECTOR.route_exchange(torus, placement.nodes_array(), batch)
+    routed_r, loads_r = ref_netsim.route_messages(torus, placement.nodes(), msgs)
     m_v = traffic_metrics(routed_v, loads_v)
+    m_r = ref_netsim.traffic_metrics(routed_r, loads_r)
     _require(
-        m_s == m_v,
-        f"engines disagree on traffic metrics: scalar {m_s}, vector {m_v}",
+        m_v == m_r,
+        f"production and reference disagree on traffic metrics: "
+        f"production {m_v}, reference {m_r}",
     )
-    est_s = SCALAR.round_estimate(routed_s, loads_s, run.machine)
-    est_v = VECTOR.round_estimate(routed_v, loads_v, run.machine)
     _require(
-        est_s == est_v,
-        f"engines disagree on round estimate: scalar {est_s}, vector {est_v}",
+        loads_v.as_dict() == dict(loads_r.items()),
+        "production and reference disagree on per-link loads",
+    )
+    est_v = VECTOR.round_estimate(routed_v, loads_v, run.machine)
+    est_r = ref_netsim.round_time(routed_r, loads_r, run.machine)
+    _require(
+        est_v == est_r,
+        f"production and reference disagree on round estimate: "
+        f"production {est_v}, reference {est_r}",
     )
 
 
@@ -381,19 +405,16 @@ def check_netsim_streaming_parity(run: ScenarioRun) -> None:
     the memory budget may change *how* the answer is computed, never the
     answer (see ``docs/cost_model.md``).
     """
-    rect = min(run.par_plan.rects, key=lambda r: r.area)
-    a = next(x for x in run.par_plan.assignments if x.rect == rect)
-    rect = effective_rect(rect, a.domain.nx, a.domain.ny)
-    rect = GridRect(rect.x0, rect.y0, min(rect.width, 16), min(rect.height, 16))
-    msgs = halo_messages(run.grid, rect, a.domain.nx, a.domain.ny, HaloSpec())
-    if not msgs:  # single-rank rectangle: nothing to route
+    grid, rect, nx, ny = _parity_exchange(run)
+    batch = halo_batch(grid, rect, nx, ny, HaloSpec())
+    if not batch:  # single-rank rectangle: nothing to route
         return
     torus = run.placement.space.torus
-    nodes = run.placement.nodes()
+    nodes = as_placement(torus, run.placement.nodes_array())
 
-    routed_d, loads_d = VECTOR.route_exchange(torus, nodes, msgs)
+    routed_d, loads_d = VECTOR.route_exchange(torus, nodes, batch)
     routed_c, loads_c = route_exchange_streamed(
-        torus, nodes, msgs, max_expand_hops=7, sparse=True
+        torus, nodes, batch, max_expand_hops=7, sparse=True
     )
     _require(
         bool((loads_c.array == loads_d.array).all()),

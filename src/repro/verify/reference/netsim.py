@@ -1,4 +1,12 @@
-"""Message routing and per-link traffic accumulation."""
+"""Reference network simulator: hop-by-hop routing over a per-link dict.
+
+The original pure-Python engine, kept as the oracle for
+:class:`repro.netsim.engine.VectorBackend`. Messages are routed one at a
+time with :func:`~repro.topology.routing.path_links`, bytes accumulate
+in a :class:`LinkLoads` counter keyed by :class:`~repro.topology.torus.Link`,
+and a round is priced message by message with the max-link contention
+model documented in :mod:`repro.netsim.contention`.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +14,21 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
-from repro.runtime.halo import HaloMessage
+from repro.netsim.contention import CommEstimate
+from repro.netsim.metrics import TrafficMetrics
+from repro.topology.machines import Machine
 from repro.topology.routing import path_links
 from repro.topology.torus import Link, Torus3D, TorusCoord
+from repro.verify.reference.halo import HaloMessage
 
-__all__ = ["RoutedMessage", "LinkLoads", "route_messages"]
+__all__ = [
+    "RoutedMessage",
+    "LinkLoads",
+    "route_messages",
+    "message_time",
+    "round_time",
+    "traffic_metrics",
+]
 
 
 @dataclass(frozen=True)
@@ -63,8 +81,8 @@ class LinkLoads:
     def merge(self, other: "LinkLoads") -> None:
         """Accumulate another load set into this one (concurrent traffic).
 
-        Bulk ``Counter.update`` — this runs once per sibling inside
-        ``concurrent_comm_costs``, so a per-key Python loop is hot.
+        Bulk ``Counter.update`` — this runs once per sibling when
+        concurrent siblings are priced, so a per-key Python loop is hot.
         """
         self._loads.update(other._loads)
 
@@ -110,3 +128,54 @@ def route_messages(
             loads.add(link, msg.nbytes)
         routed.append(rm)
     return routed, loads
+
+
+def message_time(msg: RoutedMessage, loads: LinkLoads, machine: Machine) -> float:
+    """Completion time of one routed message under *loads*."""
+    t = machine.software_latency + msg.hops * machine.per_hop_latency
+    if msg.links:
+        worst = max(loads.load(link) for link in msg.links)
+        t += worst / machine.link_bandwidth
+    return t
+
+
+def round_time(
+    routed: Sequence[RoutedMessage], loads: LinkLoads, machine: Machine
+) -> CommEstimate:
+    """Cost of one exchange round (all messages concurrent)."""
+    if not routed:
+        return CommEstimate(time=0.0, ideal_time=0.0, average_hops=0.0, max_link_bytes=0)
+    worst = 0.0
+    ideal = 0.0
+    hops_total = 0
+    for msg in routed:
+        worst = max(worst, message_time(msg, loads, machine))
+        ideal = max(
+            ideal,
+            machine.software_latency + msg.nbytes / machine.link_bandwidth,
+        )
+        hops_total += msg.hops
+    return CommEstimate(
+        time=worst,
+        ideal_time=ideal,
+        average_hops=hops_total / len(routed),
+        max_link_bytes=loads.max_load(),
+    )
+
+
+def traffic_metrics(
+    routed: Sequence[RoutedMessage], loads: LinkLoads
+) -> TrafficMetrics:
+    """Summarise *routed* messages and their *loads*."""
+    if not len(routed):
+        return TrafficMetrics(0, 0, 0.0, 0, 0, 0, 0)
+    hops = [m.hops for m in routed]
+    return TrafficMetrics(
+        num_messages=len(routed),
+        total_bytes=sum(m.nbytes for m in routed),
+        average_hops=sum(hops) / len(hops),
+        max_hops=max(hops),
+        hop_bytes=sum(m.hops * m.nbytes for m in routed),
+        max_link_bytes=loads.max_load(),
+        loaded_links=loads.num_loaded_links(),
+    )

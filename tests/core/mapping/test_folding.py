@@ -1,9 +1,14 @@
-"""Tests for the fold/fill primitives."""
+"""Tests for the reference fold/fill primitives.
+
+The array forms in :mod:`repro.core.mapping.folding` are compared with
+them position by position in ``tests/core/mapping/test_placement_parity.py``.
+"""
 
 import pytest
 
 from repro.core.mapping.base import Box
-from repro.core.mapping.folding import (
+from repro.errors import MappingError
+from repro.verify.reference.folding import (
     chunk_coord,
     fill_rect_into_box,
     fold_coord,
@@ -12,7 +17,6 @@ from repro.core.mapping.folding import (
     snake_order_box_depth_first,
     snake_order_rect,
 )
-from repro.errors import MappingError
 
 
 class TestCoords:

@@ -5,9 +5,9 @@ import pytest
 from repro.core.mapping.base import Placement, SlotSpace
 from repro.core.mapping.metrics import average_hops, evaluate_mapping, hop_bytes
 from repro.errors import MappingError
-from repro.runtime.halo import HaloMessage
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.torus import Torus3D
+from repro.verify.reference.halo import HaloMessage, from_messages
 
 
 @pytest.fixture
@@ -21,31 +21,33 @@ def line_placement():
 
 class TestAverageHops:
     def test_neighbours(self, line_placement):
-        msgs = [HaloMessage(0, 1, 100), HaloMessage(1, 2, 100)]
+        msgs = from_messages([HaloMessage(0, 1, 100), HaloMessage(1, 2, 100)])
         assert average_hops(line_placement, msgs) == 1.0
 
     def test_wraparound(self, line_placement):
-        msgs = [HaloMessage(0, 3, 100)]
+        msgs = from_messages([HaloMessage(0, 3, 100)])
         assert average_hops(line_placement, msgs) == 1.0
 
     def test_mixed(self, line_placement):
-        msgs = [HaloMessage(0, 1, 100), HaloMessage(0, 2, 100)]
+        msgs = from_messages([HaloMessage(0, 1, 100), HaloMessage(0, 2, 100)])
         assert average_hops(line_placement, msgs) == 1.5
 
     def test_empty_rejected(self, line_placement):
         with pytest.raises(MappingError):
-            average_hops(line_placement, [])
+            average_hops(line_placement, from_messages([]))
 
 
 class TestHopBytes:
     def test_weighted(self, line_placement):
-        msgs = [HaloMessage(0, 1, 100), HaloMessage(0, 2, 50)]
+        msgs = from_messages([HaloMessage(0, 1, 100), HaloMessage(0, 2, 50)])
         assert hop_bytes(line_placement, msgs) == 100 + 2 * 50
 
 
 class TestEvaluate:
     def test_full_metrics(self, line_placement):
-        msgs = [HaloMessage(0, 1, 100), HaloMessage(0, 2, 50), HaloMessage(1, 1, 10)]
+        msgs = from_messages(
+            [HaloMessage(0, 1, 100), HaloMessage(0, 2, 50), HaloMessage(1, 1, 10)]
+        )
         m = evaluate_mapping(line_placement, msgs)
         assert m.num_messages == 3
         assert m.max_hops == 2
@@ -54,4 +56,4 @@ class TestEvaluate:
 
     def test_empty_rejected(self, line_placement):
         with pytest.raises(MappingError):
-            evaluate_mapping(line_placement, [])
+            evaluate_mapping(line_placement, from_messages([]))

@@ -11,7 +11,7 @@ from repro.core.mapping.ndfold import (
     split_dims_for_grid,
 )
 from repro.errors import MappingError
-from repro.runtime.halo import HaloSpec, halo_messages
+from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.torusnd import TorusND
 
@@ -39,7 +39,7 @@ class TestFoldMixedRadix:
                 prev = cur
 
     def test_matches_1d_fold(self):
-        from repro.core.mapping.folding import fold_coord
+        from repro.verify.reference.folding import fold_coord
 
         for i in range(12):
             pos, layer = fold_coord(i, 4)
@@ -111,7 +111,7 @@ class TestPlacements:
     def test_folded_beats_default(self, setup):
         torus, grid = setup
         spec = HaloSpec()
-        msgs = halo_messages(grid, grid.full_rect(), 415, 445, spec)
+        msgs = halo_batch(grid, grid.full_rect(), 415, 445, spec)
         default = nd_average_hops(default_nd_placement(grid, torus, 16), msgs)
         folded = nd_average_hops(folded_nd_placement(grid, torus, 16), msgs)
         assert folded < default * 0.75

@@ -1,19 +1,18 @@
-"""Hypothesis parity: the array placement pipeline vs the scalar oracle.
+"""Hypothesis parity: the array placement pipeline vs the reference.
 
-Every mapping heuristic must produce a *bit-identical* placement under
-``REPRO_PLACEMENT=vector`` and ``REPRO_PLACEMENT=scalar`` — same slot
-tuples rank for rank — and every metric must agree exactly (integer hop
-sums divided once, so even the floats match to the last bit).
+Every mapping heuristic must produce a placement *bit-identical* to its
+per-rank reference in :mod:`repro.verify.reference.mapping` — same slot
+tuples rank for rank — and every metric must agree exactly with the
+per-message reference (integer hop sums divided once, so even the floats
+match to the last bit).
 """
-
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.mapping import folding
 from repro.core.mapping.base import Box, Placement, SlotSpace
 from repro.core.mapping.metrics import average_hops, evaluate_mapping, hop_bytes
 from repro.core.mapping.multilevel import MultiLevelMapping
@@ -21,25 +20,14 @@ from repro.core.mapping.oblivious import ObliviousMapping
 from repro.core.mapping.partition_map import PartitionMapping
 from repro.core.mapping.txyz import TxyzMapping
 from repro.errors import MappingError
-from repro.runtime.backend import placement_backend
-from repro.runtime.halo import HaloSpec, halo_messages
+from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.torus import Torus3D
+from repro.verify.reference import folding as ref_folding
+from repro.verify.reference import mapping as ref
+from repro.verify.reference.halo import halo_messages
 
 MAPPINGS = [ObliviousMapping, TxyzMapping, PartitionMapping, MultiLevelMapping]
-
-
-@contextmanager
-def backend(name):
-    saved = os.environ.get("REPRO_PLACEMENT")
-    os.environ["REPRO_PLACEMENT"] = name
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_PLACEMENT", None)
-        else:
-            os.environ["REPRO_PLACEMENT"] = saved
 
 
 def _split_rects(grid, cuts):
@@ -88,10 +76,8 @@ def placement_case(draw):
 @settings(max_examples=150, deadline=None)
 def test_every_heuristic_bit_identical_across_backends(case, mapping_cls):
     grid, space, rects = case
-    with backend("vector"):
-        vec = mapping_cls().place(grid, space, rects)
-    with backend("scalar"):
-        sca = mapping_cls().place(grid, space, rects)
+    vec = mapping_cls().place(grid, space, rects)
+    sca = ref.place(mapping_cls(), grid, space, rects)
     assert vec.slots == sca.slots
     assert vec.name == sca.name
     assert np.array_equal(vec.slots_array(), sca.slots_array())
@@ -106,20 +92,54 @@ def test_metrics_bit_identical_across_backends(case, mapping_cls):
     placement = mapping_cls().place(grid, space, rects)
     nx = 8 * grid.px
     ny = 8 * grid.py
+    batch = halo_batch(grid, grid.full_rect(), nx, ny, HaloSpec())
     msgs = halo_messages(grid, grid.full_rect(), nx, ny, HaloSpec())
     if not msgs:
         return
-    with backend("vector"):
-        m_v = evaluate_mapping(placement, msgs)
-        ah_v = average_hops(placement, msgs)
-        hb_v = hop_bytes(placement, msgs)
-    with backend("scalar"):
-        m_s = evaluate_mapping(placement, msgs)
-        ah_s = average_hops(placement, msgs)
-        hb_s = hop_bytes(placement, msgs)
+    m_v = evaluate_mapping(placement, batch)
+    ah_v = average_hops(placement, batch)
+    hb_v = hop_bytes(placement, batch)
+    m_s = ref.evaluate_mapping(placement, msgs)
+    ah_s = ref.average_hops(placement, msgs)
+    hb_s = ref.hop_bytes(placement, msgs)
     assert m_v == m_s
     assert ah_v == ah_s
     assert hb_v == hb_s
+
+
+def _as_dict(fill):
+    """An ``(h, w, 3)`` array fill as the reference ``{(i, j): slot}`` dict."""
+    h, w = fill.shape[:2]
+    return {(i, j): tuple(fill[j, i].tolist()) for j in range(h) for i in range(w)}
+
+
+@given(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data(),
+    st.sampled_from(["chunk", "fold"]), st.integers(0, 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_fold_primitives_match_reference(bw, bh, bd, data, style, orientation):
+    box = Box(1, 2, 0, bw, bh, bd)
+    w = data.draw(st.sampled_from(
+        [f for f in range(1, box.volume + 1) if box.volume % f == 0]
+    ))
+    h = box.volume // w
+    fill = folding.fill_rect_into_box_array(
+        w, h, box, style=style, orientation=orientation
+    )
+    expect = ref_folding.fill_rect_into_box(
+        w, h, box, style=style, orientation=orientation
+    )
+    assert (fill is None) == (expect is None)
+    if fill is not None:
+        assert _as_dict(fill) == expect
+    for depth_first in (False, True):
+        assert _as_dict(
+            folding.snake_fill_array(w, h, box, depth_first=depth_first)
+        ) == ref_folding.snake_fill(w, h, box, depth_first=depth_first)
+    assert [tuple(r) for r in folding.snake_order_box_array(box).tolist()] == (
+        ref_folding.snake_order_box(box)
+    )
 
 
 def test_box_slots_array_matches_tuple_enumeration():
@@ -139,14 +159,19 @@ def test_placement_accepts_array_and_tuple_forms_identically():
     assert np.array_equal(p_array.slots_array(), p_tuple.slots_array())
 
 
+def _slots_as(form, slots):
+    """*slots* as the array heuristics hand them over ("vector") or as
+    the tuple the reference heuristics build ("scalar")."""
+    return np.asarray(slots, dtype=np.int64) if form == "vector" else slots
+
+
 @pytest.mark.parametrize("name", ["vector", "scalar"])
 def test_out_of_bounds_slot_message_parity(name):
     space = SlotSpace(Torus3D((2, 2, 1)), 1)
     grid = ProcessGrid(2, 2)
     slots = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 1, 0))
-    with backend(name):
-        with pytest.raises(MappingError, match=r"slot \(5, 1, 0\) outside slot box"):
-            Placement(space=space, grid=grid, slots=slots, name="bad")
+    with pytest.raises(MappingError, match=r"slot \(5, 1, 0\) outside slot box"):
+        Placement(space=space, grid=grid, slots=_slots_as(name, slots), name="bad")
 
 
 @pytest.mark.parametrize("name", ["vector", "scalar"])
@@ -154,15 +179,5 @@ def test_duplicate_slot_message_parity(name):
     space = SlotSpace(Torus3D((2, 2, 1)), 1)
     grid = ProcessGrid(2, 2)
     slots = ((0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 1, 0))
-    with backend(name):
-        with pytest.raises(MappingError, match=r"ranks 0 and 2 both mapped"):
-            Placement(space=space, grid=grid, slots=slots, name="bad")
-
-
-def test_backend_env_validation():
-    from repro.errors import ConfigurationError
-
-    with backend("bogus"):
-        with pytest.raises(ConfigurationError, match="REPRO_PLACEMENT"):
-            placement_backend()
-    assert placement_backend() in ("vector", "scalar")
+    with pytest.raises(MappingError, match=r"ranks 0 and 2 both mapped"):
+        Placement(space=space, grid=grid, slots=_slots_as(name, slots), name="bad")

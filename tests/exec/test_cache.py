@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
 import pytest
 
 from repro.core.mapping.base import SlotSpace
@@ -25,7 +26,7 @@ from repro.exec.placementcache import _PLACEMENT_CACHE, cached_placement
 from repro.exec.plancache import _PLAN_CACHE, sequential_plan
 from repro.netsim.engine import _ROUTE_CACHE, VECTOR, route_exchange_streamed
 from repro.obs.metrics import registry
-from repro.runtime.halo import HaloMessage
+from repro.runtime.halo import HaloBatch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.torus import Torus3D
 from repro.wrf.grid import DomainSpec
@@ -41,8 +42,12 @@ _PLAN_GRID = ProcessGrid(16, 16)
 _PLACE_GRID = ProcessGrid(8, 4)
 _SPACE = SlotSpace(Torus3D((4, 4, 2)), 1)
 _TORUS = Torus3D((4, 4, 4))
-_NODES = [(0, 0, 0), (2, 2, 2)]
-_MSGS = [HaloMessage(0, 1, 100)]
+_NODES = np.array([(0, 0, 0), (2, 2, 2)], dtype=np.int64)
+_MSGS = HaloBatch(
+    src=np.array([0], dtype=np.int64),
+    dst=np.array([1], dtype=np.int64),
+    nbytes=np.array([100], dtype=np.int64),
+)
 
 _FIELDS = ("hits", "misses", "evictions", "expired", "resident_bytes")
 
@@ -238,6 +243,8 @@ class TestRegistryMirror:
         )
         case.cache.clear()
         assert _mirror(case.cache) == _counts(case.cache) == dict.fromkeys(_FIELDS, 0)
+        stats = case.cache.stats()
+        assert (stats.entries, stats.hit_rate) == (0, 0.0)
 
 
 # ----------------------------------------------------------------------

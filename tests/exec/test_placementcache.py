@@ -1,4 +1,4 @@
-"""The memoized placement cache: hits, keying, LRU bounds, and counters."""
+"""The memoized placement cache: hits, keying, the byte-budget knob, and counters."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.core.mapping.multilevel import MultiLevelMapping
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.core.mapping.partition_map import PartitionMapping
 from repro.exec.placementcache import (
-    _PLACEMENT_CACHE,
     cached_placement,
     placement_cache_stats,
     reset_placement_cache,
@@ -81,23 +80,6 @@ def test_key_distinguishes_mapping_grid_space_and_rects():
     assert stats.misses == 5 and stats.hits == 0 and stats.entries == 5
 
 
-def test_lru_bound_evicts_oldest():
-    grid = ProcessGrid(4, 2)
-    space = _space((2, 2, 2), 1)
-    old_size = _PLACEMENT_CACHE.maxsize
-    _PLACEMENT_CACHE.maxsize = 2
-    try:
-        cached_placement(ObliviousMapping(), grid, space)
-        cached_placement(PartitionMapping(), grid, space)
-        cached_placement(MultiLevelMapping(), grid, space)
-        assert placement_cache_stats().entries == 2
-        # The oldest key (oblivious) was evicted and misses again.
-        cached_placement(ObliviousMapping(), grid, space)
-        assert placement_cache_stats().misses == 4
-    finally:
-        _PLACEMENT_CACHE.maxsize = old_size
-
-
 def test_byte_budget_evicts_lru_first(monkeypatch):
     grid = ProcessGrid(4, 2)
     space = _space((2, 2, 2), 1)
@@ -122,47 +104,6 @@ def test_byte_budget_evicts_lru_first(monkeypatch):
     snap = registry().snapshot("exec.placement_cache.")
     assert snap["exec.placement_cache.evictions"]["value"] == 1
     assert snap["exec.placement_cache.resident_bytes"]["value"] == 2 * one
-
-
-def test_oversize_placement_never_retained(monkeypatch):
-    grid = ProcessGrid(8, 4)
-    space = _space()
-    monkeypatch.setenv("REPRO_PLACEMENT_CACHE_MB", "0.0001")
-    a = cached_placement(ObliviousMapping(), grid, space)
-    b = cached_placement(ObliviousMapping(), grid, space)
-    # Both calls produce a placement; neither is cached.
-    assert a == b and a is not b
-    stats = placement_cache_stats()
-    assert stats.entries == 0 and stats.resident_bytes == 0
-    assert stats.evictions == 2 and stats.misses == 2
-
-
-def test_registry_counters_always_equal_stats():
-    """The obs counters ARE ``placement_cache_stats()`` at all times."""
-    grid = ProcessGrid(8, 4)
-    space = _space()
-    registry().reset("exec.placement_cache.")
-    reset_placement_cache()
-    for _ in range(3):
-        cached_placement(ObliviousMapping(), grid, space)
-        cached_placement(PartitionMapping(), grid, space)
-        stats = placement_cache_stats()
-        snap = registry().snapshot("exec.placement_cache.")
-        assert snap["exec.placement_cache.hits"]["value"] == stats.hits
-        assert snap["exec.placement_cache.misses"]["value"] == stats.misses
-    assert placement_cache_stats().hits == 4
-
-
-def test_reset_zeroes_the_metric_side_too():
-    grid = ProcessGrid(8, 4)
-    space = _space()
-    cached_placement(ObliviousMapping(), grid, space)
-    reset_placement_cache()
-    stats = placement_cache_stats()
-    snap = registry().snapshot("exec.placement_cache.")
-    assert stats.hits == snap["exec.placement_cache.hits"]["value"] == 0
-    assert stats.misses == snap["exec.placement_cache.misses"]["value"] == 0
-    assert stats.entries == 0
 
 
 class TestFuzzedReconciliation:

@@ -1,4 +1,4 @@
-"""The memoized plan cache: hits, keying, LRU bounds, and plan identity."""
+"""The memoized plan cache: hits, keying, and plan identity."""
 
 from __future__ import annotations
 
@@ -76,28 +76,3 @@ def test_int_and_float_ratios_share_an_entry(domains):
     b = parallel_plan(grid, parent, siblings, [float(s.points) for s in siblings])
     assert a is b
     assert plan_cache_stats().hits == 1
-
-
-def test_reset_clears_entries_and_counters(domains):
-    parent, siblings = domains
-    grid = ProcessGrid(16, 16)
-    sequential_plan(grid, parent, siblings)
-    reset_plan_cache()
-    stats = plan_cache_stats()
-    assert stats == type(stats)(hits=0, misses=0, entries=0)
-    assert stats.hit_rate == 0.0
-
-
-def test_lru_evicts_oldest(domains, monkeypatch):
-    from repro.exec import plancache
-
-    parent, siblings = domains
-    monkeypatch.setattr(plancache._PLAN_CACHE, "maxsize", 2)
-    grids = [ProcessGrid(8, 8), ProcessGrid(16, 16), ProcessGrid(32, 32)]
-    for g in grids:
-        sequential_plan(g, parent, siblings)
-    assert plan_cache_stats().entries == 2
-    # The oldest grid was evicted: looking it up again is a miss.
-    before = plan_cache_stats().misses
-    sequential_plan(grids[0], parent, siblings)
-    assert plan_cache_stats().misses == before + 1

@@ -15,7 +15,7 @@ from repro.exec.shm import (
     shm_stats,
 )
 from repro.netsim.engine import VECTOR, reset_route_cache, route_cache_stats
-from repro.runtime.halo import HaloBatch, HaloSpec, halo_messages_array
+from repro.runtime.halo import HaloBatch, HaloSpec, halo_batch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.torus import Torus3D
 
@@ -65,7 +65,7 @@ def test_handle_digest_preseeds_batch_digest():
 
 def test_shared_batch_hits_route_cache_of_original():
     grid = ProcessGrid(4, 4)
-    batch = halo_messages_array(grid, grid.full_rect(), 64, 64, HaloSpec())
+    batch = halo_batch(grid, grid.full_rect(), 64, 64, HaloSpec())
     torus = Torus3D((2, 2, 2))
     nodes = [torus.coord_of(i % torus.num_nodes) for i in range(16)]
     handle = share_halo_batch(batch)
@@ -121,7 +121,7 @@ def _route_shared_task(item):
 
 def test_workers_map_shared_columns():
     grid = ProcessGrid(4, 4)
-    batch = halo_messages_array(grid, grid.full_rect(), 64, 64, HaloSpec())
+    batch = halo_batch(grid, grid.full_rect(), 64, 64, HaloSpec())
     handle = share_halo_batch(batch)
     item = (handle, (2, 2, 2), 16)
     inline = run_sweep(_route_shared_task, [item, item], jobs=1, shared=(handle,))

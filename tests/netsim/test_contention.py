@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.netsim.contention import message_time, round_time
-from repro.netsim.traffic import route_messages
-from repro.runtime.halo import HaloMessage
 from repro.topology.machines import BLUE_GENE_L
 from repro.topology.torus import Torus3D
+from repro.verify.reference.halo import HaloMessage
+from repro.verify.reference.netsim import message_time, round_time, route_messages
 
 
 @pytest.fixture

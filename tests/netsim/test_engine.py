@@ -1,23 +1,31 @@
 """Unit tests for the vectorized network engine."""
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.netsim.engine import (
     LINKS_PER_NODE,
-    SCALAR,
     VECTOR,
-    LinkLoadVector,
     PlacementVector,
-    active_backend,
     as_placement,
     link_id_of,
     link_of_id,
     reset_route_cache,
     route_cache_stats,
 )
-from repro.runtime.halo import HaloMessage
+from repro.runtime.halo import HaloBatch
 from repro.topology.torus import Link, Torus3D
+
+
+def batch(*messages):
+    """A HaloBatch of ``(src, dst, nbytes)`` triples."""
+    cols = np.asarray(messages, dtype=np.int64).reshape(len(messages), 3).T.copy()
+    return HaloBatch(src=cols[0], dst=cols[1], nbytes=cols[2])
+
+
+def nodes(*coords):
+    """An ``(N, 3)`` node array, as ``Placement.nodes_array`` returns."""
+    return np.asarray(coords, dtype=np.int64).reshape(len(coords), 3)
 
 
 @pytest.fixture(autouse=True)
@@ -51,23 +59,23 @@ class TestLinkIds:
 class TestPlacementVector:
     def test_wraps_once(self):
         torus = Torus3D((2, 2, 2))
-        pv = as_placement(torus, [(0, 0, 0), (1, 1, 1)])
+        pv = as_placement(torus, nodes((0, 0, 0), (1, 1, 1)))
         assert as_placement(torus, pv) is pv
         assert len(pv) == 2
         assert pv.node_ranks.tolist() == [0, 7]
 
     def test_digest_distinguishes_placements(self):
         torus = Torus3D((2, 2, 2))
-        a = PlacementVector(torus, [(0, 0, 0), (1, 0, 0)])
-        b = PlacementVector(torus, [(1, 0, 0), (0, 0, 0)])
+        a = PlacementVector(torus, nodes((0, 0, 0), (1, 0, 0)))
+        b = PlacementVector(torus, nodes((1, 0, 0), (0, 0, 0)))
         assert a.digest != b.digest
 
 
 class TestLinkLoadVector:
     def test_mirrors_scalar_api(self):
         torus = Torus3D((4, 1, 1))
-        nodes = [(0, 0, 0), (2, 0, 0)]
-        _, loads = VECTOR.route_exchange(torus, nodes, [HaloMessage(0, 1, 7)])
+        placed = nodes((0, 0, 0), (2, 0, 0))
+        _, loads = VECTOR.route_exchange(torus, placed, batch((0, 1, 7)))
         assert loads.load(Link((0, 0, 0), 0, 1)) == 7
         assert loads.load(Link((3, 0, 0), 0, 1)) == 0
         assert loads.max_load() == 7
@@ -77,8 +85,8 @@ class TestLinkLoadVector:
 
     def test_merge_accumulates(self):
         torus = Torus3D((4, 1, 1))
-        nodes = [(0, 0, 0), (1, 0, 0)]
-        _, loads = VECTOR.route_exchange(torus, nodes, [HaloMessage(0, 1, 5)])
+        placed = nodes((0, 0, 0), (1, 0, 0))
+        _, loads = VECTOR.route_exchange(torus, placed, batch((0, 1, 5)))
         shared = VECTOR.empty_loads(torus)
         shared.merge(loads)
         shared.merge(loads)
@@ -90,10 +98,10 @@ class TestLinkLoadVector:
 class TestRouteCache:
     def test_hit_on_identical_exchange(self):
         torus = Torus3D((4, 4, 4))
-        nodes = [(0, 0, 0), (2, 2, 2)]
-        msgs = [HaloMessage(0, 1, 100)]
-        first = VECTOR.route_exchange(torus, nodes, msgs)
-        second = VECTOR.route_exchange(torus, nodes, list(msgs))
+        placed = nodes((0, 0, 0), (2, 2, 2))
+        first = VECTOR.route_exchange(torus, placed, batch((0, 1, 100)))
+        # An equal batch built separately hits: the key is the digest.
+        second = VECTOR.route_exchange(torus, placed.copy(), batch((0, 1, 100)))
         assert second[0] is first[0]
         assert second[1] is first[1]
         stats = route_cache_stats()
@@ -102,37 +110,23 @@ class TestRouteCache:
 
     def test_miss_on_different_placement(self):
         torus = Torus3D((4, 4, 4))
-        msgs = [HaloMessage(0, 1, 100)]
-        VECTOR.route_exchange(torus, [(0, 0, 0), (2, 2, 2)], msgs)
-        VECTOR.route_exchange(torus, [(0, 0, 0), (2, 2, 1)], msgs)
+        msgs = batch((0, 1, 100))
+        VECTOR.route_exchange(torus, nodes((0, 0, 0), (2, 2, 2)), msgs)
+        VECTOR.route_exchange(torus, nodes((0, 0, 0), (2, 2, 1)), msgs)
         stats = route_cache_stats()
         assert (stats.hits, stats.misses) == (0, 2)
 
     def test_miss_on_different_bytes(self):
         torus = Torus3D((4, 4, 4))
-        nodes = [(0, 0, 0), (2, 2, 2)]
-        VECTOR.route_exchange(torus, nodes, [HaloMessage(0, 1, 100)])
-        VECTOR.route_exchange(torus, nodes, [HaloMessage(0, 1, 101)])
+        placed = nodes((0, 0, 0), (2, 2, 2))
+        VECTOR.route_exchange(torus, placed, batch((0, 1, 100)))
+        VECTOR.route_exchange(torus, placed, batch((0, 1, 101)))
         assert route_cache_stats().misses == 2
 
     def test_reset_clears_counters(self):
         torus = Torus3D((2, 2, 2))
-        VECTOR.route_exchange(torus, [(0, 0, 0)], [])
+        VECTOR.route_exchange(torus, nodes((0, 0, 0)), batch())
         reset_route_cache()
         stats = route_cache_stats()
         assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
 
-
-class TestBackendSelection:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NETSIM", raising=False)
-        assert active_backend() is VECTOR
-
-    def test_scalar_oracle_selectable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NETSIM", "scalar")
-        assert active_backend() is SCALAR
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NETSIM", "fortran")
-        with pytest.raises(ConfigurationError):
-            active_backend()

@@ -1,23 +1,25 @@
-"""Hypothesis parity: the vectorized engine vs the scalar oracle.
+"""Hypothesis parity: the vectorized engine vs the reference simulator.
 
 Every shared metric must agree *exactly* — routes link by link, per-link
 loads, ``max_link_bytes``, ``average_hops``, and ``round_time`` — across
 random tori (including size-1 and even rings), random placements
 (including co-located ranks), and random message sets (including
-``src == dst`` intra-node messages).
+``src == dst`` intra-node messages). The engine gets the production
+inputs (a ``HaloBatch`` and an ``(N, 3)`` node array), the reference the
+equivalent message list and coordinate tuples.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.contention import round_time
-from repro.netsim.engine import SCALAR, VECTOR
+from repro.netsim.engine import VECTOR
 from repro.netsim.metrics import traffic_metrics
-from repro.netsim.traffic import route_messages
-from repro.runtime.halo import HaloMessage
 from repro.topology.machines import BLUE_GENE_L, BLUE_GENE_P
 from repro.topology.torus import Torus3D
+from repro.verify.reference import netsim as ref
+from repro.verify.reference.halo import HaloMessage, from_messages
 
 
 @st.composite
@@ -52,9 +54,15 @@ def exchange_case(draw):
     return torus, nodes, msgs
 
 
+def vector_route(torus, nodes, msgs):
+    """The production engine on the production form of the exchange."""
+    placed = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    return VECTOR.route_exchange(torus, placed, from_messages(msgs))
+
+
 def both_engines(torus, nodes, msgs):
-    routed_s, loads_s = SCALAR.route_exchange(torus, nodes, msgs)
-    routed_v, loads_v = VECTOR.route_exchange(torus, nodes, msgs)
+    routed_s, loads_s = ref.route_messages(torus, nodes, msgs)
+    routed_v, loads_v = vector_route(torus, nodes, msgs)
     return routed_s, loads_s, routed_v, loads_v
 
 
@@ -89,9 +97,9 @@ def test_link_loads_identical(case):
 def test_round_time_bit_identical(case, machine):
     torus, nodes, msgs = case
     routed_s, loads_s, routed_v, loads_v = both_engines(torus, nodes, msgs)
-    est_s = round_time(routed_s, loads_s, machine)
+    est_s = ref.round_time(routed_s, loads_s, machine)
     est_v = VECTOR.round_estimate(routed_v, loads_v, machine)
-    # Exact float equality: the vector kernel reproduces the scalar
+    # Exact float equality: the vector kernel reproduces the reference
     # operation order.
     assert est_v == est_s
 
@@ -101,7 +109,7 @@ def test_round_time_bit_identical(case, machine):
 def test_traffic_metrics_identical(case):
     torus, nodes, msgs = case
     routed_s, loads_s, routed_v, loads_v = both_engines(torus, nodes, msgs)
-    assert traffic_metrics(routed_v, loads_v) == traffic_metrics(routed_s, loads_s)
+    assert traffic_metrics(routed_v, loads_v) == ref.traffic_metrics(routed_s, loads_s)
 
 
 class TestFuzzedScenarioParity:
@@ -121,30 +129,31 @@ class TestFuzzedScenarioParity:
         from repro.verify.oracles import check_netsim_parity
 
         scenario = random_scenario(seed)
-        # Cap the rank count so the scalar oracle stays cheap; shapes,
+        # Cap the rank count so the reference stays cheap; shapes,
         # machines, mappings, and placements still come from the generator.
         scenario = dataclasses.replace(scenario, ranks=min(scenario.ranks, 256))
         run = scenario.build()
         check_netsim_parity(run)  # raises OracleViolation on divergence
 
     def test_generated_exchange_metrics_identical(self):
-        from repro.netsim.metrics import traffic_metrics
-        from repro.runtime.halo import HaloSpec, halo_messages
+        from repro.runtime.halo import HaloSpec, halo_batch
         from repro.verify import Scenario
+        from repro.verify.reference.halo import halo_messages
 
         run = Scenario(
             machine="bgp", ranks=64, num_siblings=2, parent_nx=250,
             parent_ny=240, sibling_seed=12, mapping="multilevel",
         ).build()
         torus = run.placement.space.torus
-        nodes = run.placement.nodes()
         a = run.par_plan.assignments[0]
-        msgs = halo_messages(
-            run.grid, a.rect, a.domain.nx, a.domain.ny, HaloSpec()
+        shape = (run.grid, a.rect, a.domain.nx, a.domain.ny, HaloSpec())
+        routed_s, loads_s = ref.route_messages(
+            torus, run.placement.nodes(), halo_messages(*shape)
         )
-        routed_s, loads_s = SCALAR.route_exchange(torus, nodes, msgs)
-        routed_v, loads_v = VECTOR.route_exchange(torus, nodes, msgs)
-        assert traffic_metrics(routed_s, loads_s) == traffic_metrics(
+        routed_v, loads_v = VECTOR.route_exchange(
+            torus, run.placement.nodes_array(), halo_batch(*shape)
+        )
+        assert ref.traffic_metrics(routed_s, loads_s) == traffic_metrics(
             routed_v, loads_v
         )
 
@@ -155,21 +164,19 @@ class TestKnownCases:
         torus = Torus3D((4, 1, 1))
         nodes = [(0, 0, 0), (2, 0, 0)]
         msgs = [HaloMessage(0, 1, 10)]
-        routed_v, _ = VECTOR.route_exchange(torus, nodes, msgs)
+        routed_v, _ = vector_route(torus, nodes, msgs)
         links = routed_v.message_links(0)
         assert [(l.src, l.dim, l.direction) for l in links] == [
             ((0, 0, 0), 0, 1),
             ((1, 0, 0), 0, 1),
         ]
-        routed_s, _ = route_messages(torus, nodes, msgs)
+        routed_s, _ = ref.route_messages(torus, nodes, msgs)
         assert links == list(routed_s[0].links)
 
     def test_intra_node_message_no_links(self):
         torus = Torus3D((3, 3, 3))
         nodes = [(1, 1, 1), (1, 1, 1)]
-        routed_v, loads_v = VECTOR.route_exchange(
-            torus, nodes, [HaloMessage(0, 1, 99)]
-        )
+        routed_v, loads_v = vector_route(torus, nodes, [HaloMessage(0, 1, 99)])
         assert int(routed_v.hops[0]) == 0
         assert loads_v.total_bytes() == 0
 
@@ -178,7 +185,7 @@ class TestKnownCases:
         torus = Torus3D((4, 4, 4))
         nodes = [(0, 0, 0), (0, 0, 0), (2, 1, 0), (2, 1, 0)]
         msgs = [HaloMessage(0, 2, 10), HaloMessage(1, 3, 20)]
-        routed_v, loads_v = VECTOR.route_exchange(torus, nodes, msgs)
+        routed_v, loads_v = vector_route(torus, nodes, msgs)
         assert len(routed_v.pair_hops) == 1
         assert routed_v.message_links(0) == routed_v.message_links(1)
         # Both messages' bytes accumulate on the shared route.

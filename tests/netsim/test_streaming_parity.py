@@ -1,4 +1,4 @@
-"""Hypothesis parity: streaming/sparse routing vs one-shot dense vs scalar.
+"""Hypothesis parity: streaming/sparse routing vs one-shot dense vs reference.
 
 The streaming engine's whole claim is *bit-identicality*: chunked
 expansion under any ``max_expand_hops``, sparse accumulation, and the
@@ -6,6 +6,10 @@ one-shot dense path must produce the same per-link loads, the same
 round estimate, and the same route-cache digests. These suites drive all
 of that against random exchanges, plus the overflow guards at the dtype
 boundaries (>2^31 widens, never wraps; >=2^53 raises).
+
+Cases are drawn as coordinate tuples and :class:`HaloMessage` lists (the
+reference simulator's form); the engine gets the same exchange as an
+``(N, 3)`` node array and a ``HaloBatch``.
 """
 
 import numpy as np
@@ -13,20 +17,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.contention import round_time
 from repro.netsim.engine import (
     EXACT_BYTES_LIMIT,
-    SCALAR,
     VECTOR,
     LinkLoadVector,
-    active_backend,
     reset_route_cache,
     route_cache_stats,
     route_exchange_streamed,
 )
-from repro.runtime.halo import HaloBatch, HaloMessage
 from repro.topology.machines import BLUE_GENE_L
 from repro.topology.torus import Torus3D
+from repro.verify.reference import netsim as ref_netsim
+from repro.verify.reference.halo import HaloMessage, from_messages
+
+
+def streamed(torus, nodes, msgs, **kwargs):
+    """:func:`route_exchange_streamed` on the production form of a case."""
+    placed = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    return route_exchange_streamed(torus, placed, from_messages(msgs), **kwargs)
+
+
+def cached_route(torus, nodes, msgs):
+    """The cached production route of a case."""
+    placed = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    return VECTOR.route_exchange(torus, placed, from_messages(msgs))
 
 
 @st.composite
@@ -61,10 +75,8 @@ def exchange_case(draw):
 
 
 def one_shot(torus, nodes, msgs):
-    """The reference dense one-shot result (hop limit beyond any case)."""
-    return route_exchange_streamed(
-        torus, nodes, msgs, max_expand_hops=10**9, sparse=False
-    )
+    """The dense one-shot result (hop limit beyond any case)."""
+    return streamed(torus, nodes, msgs, max_expand_hops=10**9, sparse=False)
 
 
 @given(exchange_case(), st.integers(1, 40), st.booleans())
@@ -72,7 +84,7 @@ def one_shot(torus, nodes, msgs):
 def test_streamed_loads_bit_identical(case, max_hops, sparse):
     torus, nodes, msgs = case
     _, ref_loads = one_shot(torus, nodes, msgs)
-    routed, loads = route_exchange_streamed(
+    routed, loads = streamed(
         torus, nodes, msgs, max_expand_hops=max_hops, sparse=sparse
     )
     assert loads.is_sparse == sparse
@@ -89,7 +101,7 @@ def test_streamed_round_estimate_bit_identical(case, max_hops, sparse):
     torus, nodes, msgs = case
     ref_routed, ref_loads = one_shot(torus, nodes, msgs)
     ref = VECTOR.round_estimate(ref_routed, ref_loads, BLUE_GENE_L)
-    routed, loads = route_exchange_streamed(
+    routed, loads = streamed(
         torus, nodes, msgs, max_expand_hops=max_hops, sparse=sparse
     )
     assert VECTOR.round_estimate(routed, loads, BLUE_GENE_L) == ref
@@ -99,14 +111,13 @@ def test_streamed_round_estimate_bit_identical(case, max_hops, sparse):
 @settings(max_examples=100, deadline=None)
 def test_streamed_matches_scalar_oracle(case, max_hops, sparse):
     torus, nodes, msgs = case
-    routed_s, loads_s = SCALAR.route_exchange(torus, nodes, msgs)
-    routed, loads = route_exchange_streamed(
+    routed_s, loads_s = ref_netsim.route_messages(torus, nodes, msgs)
+    routed, loads = streamed(
         torus, nodes, msgs, max_expand_hops=max_hops, sparse=sparse
     )
     assert loads.as_dict() == dict(loads_s.items())
-    assert round_time(routed_s, loads_s, BLUE_GENE_L) == VECTOR.round_estimate(
-        routed, loads, BLUE_GENE_L
-    )
+    est_s = ref_netsim.round_time(routed_s, loads_s, BLUE_GENE_L)
+    assert est_s == VECTOR.round_estimate(routed, loads, BLUE_GENE_L)
     for i, scalar_msg in enumerate(routed_s):
         assert routed.message_links(i) == list(scalar_msg.links)
 
@@ -117,9 +128,7 @@ def test_streamed_chunk_iteration_consistent(case, max_hops):
     """iter_link_chunks re-expansion equals the stored one-shot arrays."""
     torus, nodes, msgs = case
     ref, _ = one_shot(torus, nodes, msgs)
-    routed, _ = route_exchange_streamed(
-        torus, nodes, msgs, max_expand_hops=max_hops, sparse=False
-    )
+    routed, _ = streamed(torus, nodes, msgs, max_expand_hops=max_hops, sparse=False)
     chunks = list(routed.iter_link_chunks())
     ids = np.concatenate([c[3] for c in chunks]) if chunks else np.zeros(0)
     assert np.array_equal(ids, ref.pair_link_ids)
@@ -130,52 +139,38 @@ def test_streamed_chunk_iteration_consistent(case, max_hops):
         assert hi_a == lo_b
 
 
-def test_backend_env_selects_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_NETSIM", "scalar")
-    assert active_backend() is SCALAR
-    monkeypatch.setenv("REPRO_NETSIM", "vector")
-    assert active_backend() is VECTOR
-
-
-@pytest.mark.parametrize("backend_env", ["vector", "scalar"])
-def test_round_time_identical_under_either_backend(monkeypatch, backend_env):
-    """The same exchange prices identically whichever engine env picks."""
-    monkeypatch.setenv("REPRO_NETSIM", backend_env)
+@pytest.mark.parametrize("backend", ["vector", "scalar"])
+def test_round_time_identical_under_either_backend(backend):
+    """The engine's routed loads price like the reference's under either
+    pricing backend: the array ``round_estimate`` ("vector") or the
+    reference message loop over the engine's ``LinkLoadVector``
+    ("scalar")."""
     torus = Torus3D((3, 3, 2))
     nodes = [torus.coord_of(i % torus.num_nodes) for i in range(12)]
     msgs = [HaloMessage(i, (i * 5 + 1) % 12, 1000 + i) for i in range(12)]
-    engine = active_backend()
-    routed, loads = engine.route_exchange(torus, nodes, msgs)
-    est = engine.round_estimate(routed, loads, BLUE_GENE_L)
-    ref_r, ref_l = SCALAR.route_exchange(torus, nodes, msgs)
-    assert est == round_time(ref_r, ref_l, BLUE_GENE_L)
+    reset_route_cache()
+    routed_v, loads_v = cached_route(torus, nodes, msgs)
+    ref_r, ref_l = ref_netsim.route_messages(torus, nodes, msgs)
+    if backend == "vector":
+        est = VECTOR.round_estimate(routed_v, loads_v, BLUE_GENE_L)
+    else:
+        est = ref_netsim.round_time(ref_r, loads_v, BLUE_GENE_L)
+    assert est == ref_netsim.round_time(ref_r, ref_l, BLUE_GENE_L)
 
 
 # ----------------------------------------------------------------------
 # Route-cache digests
 # ----------------------------------------------------------------------
-def test_list_and_batch_share_cache_entries():
-    torus = Torus3D((2, 3, 4))
-    nodes = [torus.coord_of(i % torus.num_nodes) for i in range(8)]
-    msgs = [HaloMessage(i, (i + 3) % 8, 512 * (i + 1)) for i in range(8)]
-    batch = HaloBatch.from_messages(msgs)
-    reset_route_cache()
-    VECTOR.route_exchange(torus, nodes, msgs)
-    VECTOR.route_exchange(torus, nodes, batch)
-    stats = route_cache_stats()
-    assert (stats.hits, stats.misses) == (1, 1)
-
-
 def test_budget_env_does_not_change_cache_digest(monkeypatch):
     """Streaming knobs change representation, never cache identity."""
     torus = Torus3D((4, 4, 2))
     nodes = [torus.coord_of(i % torus.num_nodes) for i in range(16)]
     msgs = [HaloMessage(i, (i + 5) % 16, 4096) for i in range(16)]
     reset_route_cache()
-    VECTOR.route_exchange(torus, nodes, msgs)
+    cached_route(torus, nodes, msgs)
     monkeypatch.setenv("REPRO_NETSIM_MEM_MB", "1")
     monkeypatch.setenv("REPRO_NETSIM_SPARSE", "always")
-    VECTOR.route_exchange(torus, nodes, msgs)
+    cached_route(torus, nodes, msgs)
     stats = route_cache_stats()
     assert (stats.hits, stats.misses) == (1, 1)
 
@@ -189,9 +184,7 @@ def test_loads_above_int32_widen_never_wrap():
     big = 2**32 + 17  # far past int32, exact in int64 and float64
     msgs = [HaloMessage(0, 1, big)]
     for sparse in (False, True):
-        _, loads = route_exchange_streamed(
-            torus, nodes, msgs, max_expand_hops=1, sparse=sparse
-        )
+        _, loads = streamed(torus, nodes, msgs, max_expand_hops=1, sparse=sparse)
         assert loads.max_load() == big
         assert loads.total_bytes() == big
         assert loads.array.dtype == np.int64
@@ -202,9 +195,9 @@ def test_loads_at_exact_limit_raise():
     nodes = [torus.coord_of(0), torus.coord_of(1)]
     msgs = [HaloMessage(0, 1, EXACT_BYTES_LIMIT)]
     with pytest.raises(OverflowError, match="2\\*\\*53"):
-        VECTOR.route_exchange(torus, nodes, msgs)
+        cached_route(torus, nodes, msgs)
     with pytest.raises(OverflowError):
-        route_exchange_streamed(torus, nodes, msgs, max_expand_hops=1, sparse=True)
+        streamed(torus, nodes, msgs, max_expand_hops=1, sparse=True)
 
 
 def test_loads_just_below_exact_limit_pass():
@@ -212,7 +205,7 @@ def test_loads_just_below_exact_limit_pass():
     nodes = [torus.coord_of(0), torus.coord_of(1)]
     msgs = [HaloMessage(0, 1, EXACT_BYTES_LIMIT - 1)]
     reset_route_cache()
-    _, loads = VECTOR.route_exchange(torus, nodes, msgs)
+    _, loads = cached_route(torus, nodes, msgs)
     assert loads.max_load() == EXACT_BYTES_LIMIT - 1
 
 
@@ -222,13 +215,13 @@ def test_index_columns_are_narrow():
     nodes = [torus.coord_of(i % torus.num_nodes) for i in range(9)]
     msgs = [HaloMessage(i, (i + 2) % 9, 100) for i in range(9)]
     reset_route_cache()
-    routed, _ = VECTOR.route_exchange(torus, nodes, msgs)
-    assert routed.hops.dtype == np.int32
-    assert routed.pair_inverse.dtype == np.int32
-    assert routed.pair_hops.dtype == np.int32
-    assert routed.pair_link_ids.dtype == np.int32
+    exchange, _ = cached_route(torus, nodes, msgs)
+    assert exchange.hops.dtype == np.int32
+    assert exchange.pair_inverse.dtype == np.int32
+    assert exchange.pair_hops.dtype == np.int32
+    assert exchange.pair_link_ids.dtype == np.int32
     # Byte columns stay int64.
-    assert routed.nbytes.dtype == np.int64
+    assert exchange.nbytes.dtype == np.int64
 
 
 # ----------------------------------------------------------------------
@@ -239,9 +232,9 @@ def test_sparse_dense_merge_mixed():
     nodes = [torus.coord_of(i) for i in range(8)]
     msgs_a = [HaloMessage(0, 3, 100)]
     msgs_b = [HaloMessage(1, 6, 250)]
-    _, dense_a = route_exchange_streamed(torus, nodes, msgs_a, sparse=False)
-    _, sparse_b = route_exchange_streamed(torus, nodes, msgs_b, sparse=True)
-    _, dense_b = route_exchange_streamed(torus, nodes, msgs_b, sparse=False)
+    _, dense_a = streamed(torus, nodes, msgs_a, sparse=False)
+    _, sparse_b = streamed(torus, nodes, msgs_b, sparse=True)
+    _, dense_b = streamed(torus, nodes, msgs_b, sparse=False)
 
     merged_dense = LinkLoadVector(torus)
     merged_dense.merge(dense_a)

@@ -1,10 +1,10 @@
-"""Tests for message routing and link loads."""
+"""Tests for the reference simulator's message routing and link loads."""
 
 import pytest
 
-from repro.netsim.traffic import LinkLoads, route_messages
-from repro.runtime.halo import HaloMessage
 from repro.topology.torus import Link, Torus3D
+from repro.verify.reference.halo import HaloMessage
+from repro.verify.reference.netsim import LinkLoads, route_messages
 
 
 @pytest.fixture

@@ -19,8 +19,8 @@ from repro.core.prediction.delaunay import (
     _circumcircle_contains,
     delaunay_triangulation,
 )
-from repro.core.mapping.folding import fold_coord, snake_order_rect
 from repro.runtime.process_grid import GridRect
+from repro.verify.reference.folding import fold_coord, snake_order_rect
 
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False)

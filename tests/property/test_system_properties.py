@@ -95,7 +95,7 @@ class TestMappingProperties:
         """Partition mapping's rect-internal hops never exceed the
         oblivious mapping's by more than a small factor."""
         from repro.core.mapping.metrics import average_hops
-        from repro.runtime.halo import HaloSpec, halo_messages
+        from repro.runtime.halo import HaloSpec, halo_batch
 
         grid = ProcessGrid(16, 16)
         space = SlotSpace(Torus3D((4, 4, 8)), 2)
@@ -106,7 +106,7 @@ class TestMappingProperties:
         for rect in alloc.rects:
             if rect.area < 2:
                 continue
-            msgs = halo_messages(grid, rect, 160, 160, spec)
+            msgs = halo_batch(grid, rect, 160, 160, spec)
             if not msgs:
                 continue
             assert average_hops(par, msgs) <= average_hops(obl, msgs) * 1.5 + 0.5

@@ -1,6 +1,6 @@
-"""Hypothesis parity: the vectorized halo builder vs the scalar oracle.
+"""Hypothesis parity: the vectorized halo builder vs the reference.
 
-``halo_messages_array`` must reproduce the scalar ``halo_messages``
+``halo_batch`` must reproduce the reference ``halo_messages``
 message-for-message — same (src, dst, nbytes) triples in the same order
 — across random grids, rectangles (including 1-wide and 1-tall strips),
 domain sizes (including domains smaller than the rectangle, where ranks
@@ -12,15 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.halo import (
-    HaloBatch,
-    HaloMessage,
-    HaloSpec,
-    halo_batch,
-    halo_messages,
-    halo_messages_array,
-)
+from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import GridRect, ProcessGrid
+from repro.verify.reference.halo import from_messages, halo_messages, to_messages
 
 
 @st.composite
@@ -51,7 +45,7 @@ def halo_case(draw):
 def test_array_builder_matches_scalar_exactly(case):
     grid, rect, nx, ny, spec = case
     msgs = halo_messages(grid, rect, nx, ny, spec)
-    batch = halo_messages_array(grid, rect, nx, ny, spec)
+    batch = halo_batch(grid, rect, nx, ny, spec)
     assert len(batch) == len(msgs)
     for i, m in enumerate(msgs):
         assert (int(batch.src[i]), int(batch.dst[i]), int(batch.nbytes[i])) == (
@@ -66,32 +60,23 @@ def test_array_builder_matches_scalar_exactly(case):
 def test_batch_roundtrip(case):
     grid, rect, nx, ny, spec = case
     msgs = halo_messages(grid, rect, nx, ny, spec)
-    batch = HaloBatch.from_messages(msgs)
-    assert batch.to_messages() == msgs
+    batch = from_messages(msgs)
+    assert to_messages(batch) == msgs
     assert len(batch) == len(msgs)
 
 
 @given(halo_case())
 @settings(max_examples=100, deadline=None)
 def test_halo_batch_dispatcher_identical_across_backends(case):
-    import os
-
+    """The production batch equals the reference list's column arrays,
+    dtype and cache digest included."""
     grid, rect, nx, ny, spec = case
-    batches = {}
-    saved = os.environ.get("REPRO_PLACEMENT")
-    try:
-        for backend in ("vector", "scalar"):
-            os.environ["REPRO_PLACEMENT"] = backend
-            batches[backend] = halo_batch(grid, rect, nx, ny, spec)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_PLACEMENT", None)
-        else:
-            os.environ["REPRO_PLACEMENT"] = saved
-    v, s = batches["vector"], batches["scalar"]
-    assert np.array_equal(v.src, s.src)
-    assert np.array_equal(v.dst, s.dst)
-    assert np.array_equal(v.nbytes, s.nbytes)
+    v = halo_batch(grid, rect, nx, ny, spec)
+    s = from_messages(halo_messages(grid, rect, nx, ny, spec))
+    for col_v, col_s in ((v.src, s.src), (v.dst, s.dst), (v.nbytes, s.nbytes)):
+        assert col_v.dtype == col_s.dtype == np.int64
+        assert np.array_equal(col_v, col_s)
+    assert v.digest() == s.digest()
 
 
 def test_batch_arrays_read_only():
@@ -107,5 +92,5 @@ def test_empty_exchange_single_rank():
     grid = ProcessGrid(1, 1)
     batch = halo_batch(grid, grid.full_rect(), 50, 50, HaloSpec())
     assert len(batch) == 0
-    assert batch.to_messages() == []
+    assert to_messages(batch) == []
     assert not batch

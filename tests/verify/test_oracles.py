@@ -15,10 +15,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.runtime.halo import HaloBatch
 from repro.runtime.process_grid import GridRect
 from repro.verify import Scenario, all_oracles, get_oracle, run_oracles
+from repro.verify import oracles as oracle_mod
 from repro.verify.oracles import OracleViolation, oracle
 
 
@@ -152,6 +155,38 @@ def test_out_of_torus_slot_caught(good_run):
     bad = corrupt(good_run, placement=placement)
     with pytest.raises(OracleViolation, match="out-of-box"):
         get_oracle("mapping-bijectivity")(bad)
+
+
+# ---------------------------------------------------- network parity
+def test_one_message_halo_divergence_caught(good_run, monkeypatch):
+    """Production halo construction drops one message: the whole-path
+    comparison against the reference builder notices."""
+    real = oracle_mod.halo_batch
+
+    def one_message_short(*args):
+        b = real(*args)
+        return HaloBatch(src=b.src[:-1], dst=b.dst[:-1], nbytes=b.nbytes[:-1])
+
+    monkeypatch.setattr(oracle_mod, "halo_batch", one_message_short)
+    with pytest.raises(OracleViolation, match="disagree on traffic metrics"):
+        get_oracle("netsim-parity")(good_run)
+
+
+def test_one_byte_streaming_divergence_caught(good_run, monkeypatch):
+    """The streamed path routes one extra byte on one inter-node message."""
+    real = oracle_mod.route_exchange_streamed
+    nodes = good_run.placement.nodes_array()
+
+    def one_byte_more(torus, placed, batch, **kwargs):
+        crosses = (nodes[batch.src] != nodes[batch.dst]).any(axis=1)
+        nbytes = batch.nbytes.copy()
+        nbytes[np.flatnonzero(crosses)[0]] += 1
+        bumped = HaloBatch(src=batch.src, dst=batch.dst, nbytes=nbytes)
+        return real(torus, placed, bumped, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "route_exchange_streamed", one_byte_more)
+    with pytest.raises(OracleViolation, match="streamed sparse link loads differ"):
+        get_oracle("netsim-streaming-parity")(good_run)
 
 
 # ------------------------------------------------------ report fields
