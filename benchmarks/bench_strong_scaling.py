@@ -40,7 +40,6 @@ from conftest import record
 
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
-from repro.exec.shm import attach_halo_batch, release, share_halo_batch
 from repro.netsim.budget import mem_budget_bytes
 from repro.netsim.engine import (
     VECTOR,
@@ -125,7 +124,6 @@ def _one_scale(machine, ranks: int) -> dict:
         "time_per_message_us": cold_s / len(batch) * 1e6,
         "streamed": routed.streamed,
         "chunks": routed.num_chunks,
-        "sparse_loads": loads.is_sparse,
         "round_time_s": estimate.time,
         "max_link_bytes": estimate.max_link_bytes,
         "route_cache": {
@@ -147,21 +145,6 @@ def test_strong_scaling():
         # The BG/Q-class machine packs 16 ranks/node: same 131072 ranks,
         # a quarter of the nodes — a second topology shape at top scale.
         entries.append(_one_scale(BLUE_GENE_Q_3D, RANK_SCALES[-1]))
-
-    # Zero-copy columns at the largest completed scale: publishing the
-    # batch and routing the attached view must hit the cache entry the
-    # original batch created (the handle carries the digest).
-    top = entries[-1]
-    px, py = top["grid"]
-    grid = ProcessGrid(px, py)
-    batch = halo_batch(grid, grid.full_rect(), *DOMAIN, HaloSpec())
-    t0 = time.perf_counter()
-    handle = share_halo_batch(batch)
-    shared = attach_halo_batch(handle)
-    share_s = time.perf_counter() - t0
-    assert shared.digest() == batch.digest()
-    release(handle)
-    top["shm_share_s"] = share_s
 
     peak = assert_rss_within(RSS_CEILING_MB)
 

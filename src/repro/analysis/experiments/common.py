@@ -170,23 +170,13 @@ def compare_strategies(
     )
 
 
-def warm_worker(machine_name: str, seed: int = 7, columns: tuple = ()) -> None:
+def warm_worker(machine_name: str, seed: int = 7) -> None:
     """Pool-worker initializer: fit the shared model once per worker.
 
     Fitting costs 13 cost-model profiling runs; doing it in the
     initializer keeps it off every task's critical path. Safe (and a
     no-op beyond cache warming) in the parent process too.
-
-    *columns* optionally carries :class:`~repro.exec.shm.SharedColumns`
-    handles of message batches the sweep's tasks will route: the worker
-    maps the shared pages once here, so every task's
-    :func:`~repro.exec.shm.attach_halo_batch` is a cache hit.
     """
-    if columns:
-        from repro.exec.shm import attach_arrays
-
-        for handle in columns:
-            attach_arrays(handle)
     fitted_model(_machine_by_name(machine_name), seed=seed)
 
 

@@ -41,7 +41,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.exec.shm import _attach_segment
 from repro.wrf.grid import DomainSpec
 
 __all__ = [
@@ -166,6 +165,26 @@ class MemoStats:
             "shared_drops": self.shared_drops,
             "hit_rate": self.hit_rate,
         }
+
+
+def _attach_segment(name: str) -> shared_memory.SharedMemory:
+    """Open an existing segment without claiming ownership of it."""
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: no track parameter
+        # Attaching registers the segment with the resource tracker on
+        # these versions; suppress the registration rather than undo it,
+        # because unregistering drops the *owner's* entry too (the
+        # tracker cache is one set shared over the inherited pipe) and
+        # the owner's later unlink would then log a KeyError.
+        from multiprocessing import resource_tracker
+
+        original_register = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = original_register
 
 
 @dataclass(frozen=True)

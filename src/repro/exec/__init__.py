@@ -12,9 +12,6 @@ with local cores without changing a single result:
   ``(grid dims, sibling signature, ratios digest)``;
 * :mod:`repro.exec.placementcache` — memoized placements keyed by
   ``(mapping name, grid dims, torus dims, ranks-per-node, rects)``;
-* :mod:`repro.exec.shm` — zero-copy message columns over
-  ``multiprocessing.shared_memory`` so sweep workers map large halo
-  batches instead of pickling them;
 * :mod:`repro.exec.workqueue` — :class:`AffinityWorkQueue`, persistent
   workers with sticky affinity routing for *stateful* residents (the
   ensemble fabric's members), inline at ``jobs=1``.
@@ -41,18 +38,8 @@ from repro.exec.plancache import (
 from repro.exec.pool import SweepResult, SweepRunner, run_sweep
 from repro.exec.procs import SupervisedProcess, WorkerSpawnError
 from repro.exec.workqueue import AffinityWorkQueue
-from repro.exec.shm import (
-    SharedColumns,
-    attach_halo_batch,
-    release_all_shared,
-    share_halo_batch,
-)
 
 __all__ = [
-    "SharedColumns",
-    "share_halo_batch",
-    "attach_halo_batch",
-    "release_all_shared",
     "SweepResult",
     "SweepRunner",
     "run_sweep",

@@ -16,9 +16,8 @@ Cached placements are frozen dataclasses, shared rather than copied.
 Eviction is **byte-budgeted**, not entry-counted: a 131k-rank placement
 is ~3 MB resident while a 512-rank one is ~12 kB, so a fixed entry cap
 would let residency grow with the rank count. The budget comes from
-:func:`repro.netsim.budget.placement_cache_budget_bytes`
-(``REPRO_PLACEMENT_CACHE_MB``, default an eighth of
-``REPRO_NETSIM_MEM_MB``). The cache is one
+:func:`repro.netsim.budget.placement_cache_budget_bytes` (an eighth
+of ``REPRO_NETSIM_MEM_MB``). The cache is one
 :class:`~repro.exec.cache.BoundedCache` (``exec.placement_cache``):
 eviction, TTL, locking, counters and their registry mirror are
 documented there.

@@ -125,17 +125,7 @@ def _run_chunk(
 def _worker_init(
     initializer: Optional[Callable[..., None]],
     initargs: Tuple[Any, ...],
-    shared: Tuple[Any, ...] = (),
 ) -> None:
-    if shared:
-        # Map published message columns before the first chunk arrives:
-        # attachment is memoised per process, so this moves the one-time
-        # shm_open/mmap off the first task's critical path. Tasks reach
-        # the same zero-copy batches via attach_halo_batch(handle).
-        from repro.exec.shm import attach_arrays
-
-        for handle in shared:
-            attach_arrays(handle)
     if initializer is not None:
         initializer(*initargs)
 
@@ -189,12 +179,6 @@ class SweepRunner:
     max_retries:
         How many times the whole pool may die (``BrokenProcessPool``)
         before the sweep gives up with :class:`~repro.errors.SweepError`.
-    shared:
-        :class:`~repro.exec.shm.SharedColumns` handles every worker
-        pre-attaches before its first chunk. Tasks that route large
-        message batches put the handle (a few hundred bytes) in their
-        spec instead of the columns themselves and map the shared pages
-        zero-copy; see ``docs/parallel.md``.
     """
 
     def __init__(
@@ -206,7 +190,6 @@ class SweepRunner:
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
         max_retries: int = 2,
-        shared: Tuple[Any, ...] = (),
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -220,7 +203,6 @@ class SweepRunner:
         self.initializer = initializer
         self.initargs = tuple(initargs)
         self.max_retries = max_retries
-        self.shared = tuple(shared)
 
     # ------------------------------------------------------------------
     def _chunks(self, items: Sequence[Any]) -> List[Tuple[int, Sequence[Any]]]:
@@ -255,7 +237,7 @@ class SweepRunner:
             else None,
         ):
             if self.jobs == 1:
-                _worker_init(self.initializer, self.initargs, self.shared)
+                _worker_init(self.initializer, self.initargs)
                 for start, sub in chunks:
                     _, out, chunk_snaps = _run_chunk(
                         fn, start, sub, self.capture_metrics
@@ -314,7 +296,7 @@ class SweepRunner:
             executor = ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(pending)),
                 initializer=_worker_init,
-                initargs=(self.initializer, self.initargs, self.shared),
+                initargs=(self.initializer, self.initargs),
             )
             try:
                 futures = {

@@ -20,7 +20,6 @@ from repro.netsim.budget import (
     mem_budget_bytes,
     placement_cache_budget_bytes,
     route_cache_budget_bytes,
-    sparse_mode,
 )
 from repro.netsim.engine import (
     LinkLoadVector,
@@ -40,7 +39,6 @@ __all__ = [
     "placement_cache_budget_bytes",
     "route_cache_budget_bytes",
     "route_exchange_streamed",
-    "sparse_mode",
     "CommEstimate",
     "traffic_metrics",
     "TrafficMetrics",

@@ -17,17 +17,8 @@ From that single knob the engine derives
 * the **route-cache byte budget** (override:
   ``REPRO_NETSIM_ROUTE_CACHE_MB``) — cached routed exchanges are evicted
   LRU-first once their resident bytes exceed it,
-* the **placement-cache byte budget** (override:
-  ``REPRO_PLACEMENT_CACHE_MB``) used by
-  :mod:`repro.exec.placementcache`.
-
-Sparse link-load accumulation has its own tri-state switch because it
-changes the *representation*, never the values:
-
-    REPRO_NETSIM_SPARSE=auto       # sparse once the dense per-link
-                                   # vector would exceed its budget share
-    REPRO_NETSIM_SPARSE=always     # force sparse (tests, huge tori)
-    REPRO_NETSIM_SPARSE=never      # force the dense vector
+* the **placement-cache byte budget** (an eighth of the budget) used
+  by :mod:`repro.exec.placementcache`.
 
 All parsing errors raise :class:`~repro.errors.ConfigurationError`.
 This module sits below the engine (imports only stdlib + errors) so the
@@ -46,14 +37,13 @@ __all__ = [
     "EXPANSION_BYTES_PER_HOP",
     "mem_budget_bytes",
     "expansion_hop_limit",
-    "sparse_mode",
     "route_cache_budget_bytes",
     "placement_cache_budget_bytes",
 ]
 
 #: Default overall working-set budget when ``REPRO_NETSIM_MEM_MB`` is
 #: unset. Large enough that every paper-sized (<=8k rank) exchange takes
-#: the one-shot dense path, so default results and performance are
+#: the one-shot path, so default results and performance are
 #: unchanged; 131k-rank exchanges stream.
 DEFAULT_MEM_MB = 512.0
 
@@ -72,11 +62,7 @@ _EXPANSION_SHARE = 0.5
 #: kernel back into a Python loop.
 _MIN_CHUNK_HOPS = 1024
 
-#: Fraction of the budget one dense per-link load vector may occupy
-#: before ``REPRO_NETSIM_SPARSE=auto`` switches to the sparse form.
-_DENSE_LOADS_SHARE = 1 / 16
-
-#: Default cache shares of the budget (each overridable by its own env).
+#: Cache shares of the budget (the route cache's is overridable).
 _ROUTE_CACHE_SHARE = 0.25
 _PLACEMENT_CACHE_SHARE = 0.125
 
@@ -113,27 +99,6 @@ def expansion_hop_limit(budget_bytes: int | None = None) -> int:
     return max(_MIN_CHUNK_HOPS, limit)
 
 
-def sparse_mode(num_links: int, budget_bytes: int | None = None) -> bool:
-    """Whether link loads should accumulate sparsely for *num_links*.
-
-    ``REPRO_NETSIM_SPARSE`` forces the answer (``always``/``never``);
-    ``auto`` switches to sparse once the dense ``int64`` per-link vector
-    would exceed its share of the budget.
-    """
-    raw = os.environ.get("REPRO_NETSIM_SPARSE", "auto").strip().lower() or "auto"
-    if raw == "always":
-        return True
-    if raw == "never":
-        return False
-    if raw != "auto":
-        raise ConfigurationError(
-            f"REPRO_NETSIM_SPARSE={raw!r}: expected auto, always, or never"
-        )
-    if budget_bytes is None:
-        budget_bytes = mem_budget_bytes()
-    return num_links * 8 > budget_bytes * _DENSE_LOADS_SHARE
-
-
 def route_cache_budget_bytes() -> int:
     """Byte budget of the netsim route cache.
 
@@ -147,12 +112,5 @@ def route_cache_budget_bytes() -> int:
 
 
 def placement_cache_budget_bytes() -> int:
-    """Byte budget of the placement cache.
-
-    ``REPRO_PLACEMENT_CACHE_MB`` when set, else an eighth of the overall
-    budget.
-    """
-    raw = os.environ.get("REPRO_PLACEMENT_CACHE_MB")
-    if raw is not None and raw.strip():
-        return int(_mb_env("REPRO_PLACEMENT_CACHE_MB", 0.0) * 2**20)
+    """Byte budget of the placement cache: an eighth of the overall budget."""
     return int(mem_budget_bytes() * _PLACEMENT_CACHE_SHARE)

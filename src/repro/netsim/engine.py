@@ -25,12 +25,6 @@ production engine: NumPy array kernels, bit-identical to the reference:
   size, because all byte totals are exact integers below ``2**53`` (a
   guard raises :class:`OverflowError` rather than ever letting the
   float64 accumulators round).
-* **Sparse link loads.** At high rank counts the dense ``num_nodes * 6``
-  load vector itself becomes a liability when only a fraction of links
-  carry traffic. :class:`LinkLoadVector` therefore has two
-  representations behind one interface: the dense vector, and a sparse
-  (sorted unique link ids + totals) form selected by
-  ``REPRO_NETSIM_SPARSE`` — identical values either way.
 * **Dtype-width audit.** Retained route columns (link ids, hop counts,
   pair indices) are stored as ``int32`` whenever the torus and message
   count allow (guarded, falling back to ``int64`` — never wrapping);
@@ -62,11 +56,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.exec.cache import BoundedCache
-from repro.netsim.budget import (
-    expansion_hop_limit,
-    route_cache_budget_bytes,
-    sparse_mode,
-)
+from repro.netsim.budget import expansion_hop_limit, route_cache_budget_bytes
 from repro.netsim.contention import CommEstimate
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.metrics import gauge as _obs_gauge
@@ -182,134 +172,46 @@ def as_placement(torus: Torus3D, nodes: PlacementLike) -> PlacementVector:
 
 
 # ----------------------------------------------------------------------
-# Link loads: one interface, dense or sparse representation
+# Link loads
 # ----------------------------------------------------------------------
-def _merge_sparse(
-    a_ids: np.ndarray, a_vals: np.ndarray, b_ids: np.ndarray, b_vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Add two (sorted unique ids, int64 totals) load sets exactly."""
-    ids = np.concatenate([a_ids, b_ids])
-    vals = np.concatenate([a_vals, b_vals])
-    uniq, inverse = np.unique(ids, return_inverse=True)
-    out = np.zeros(len(uniq), dtype=np.int64)
-    # int64 scatter-add: exact at any magnitude the guard admits.
-    np.add.at(out, inverse, vals)
-    return uniq, out
-
-
 class LinkLoadVector:
-    """Accumulated bytes per directed link.
+    """Accumulated bytes per directed link: one ``int64`` vector.
 
-    Mirrors the reference :class:`~repro.verify.reference.netsim.LinkLoads`
-    API so parity tests can compare the two directly. Two representations
-    live behind the one interface:
-
-    * **dense** — a flat ``int64`` vector indexed by the dense link id
-      (the original form, default);
-    * **sparse** — sorted unique link ids plus their ``int64`` totals,
-      selected by ``REPRO_NETSIM_SPARSE`` (see
-      :func:`repro.netsim.budget.sparse_mode`) when most of the
-      ``num_nodes * 6`` links carry no traffic.
-
-    Every query (``max_load``/``total_bytes``/``merge``/pricing lookups)
-    returns identical values on either representation.
+    Indexed by the dense link id, ``num_nodes * 6`` long (1.5 MiB at
+    131,072 BG/P ranks). Mirrors the reference
+    :class:`~repro.verify.reference.netsim.LinkLoads` API so parity tests
+    can compare the two directly.
     """
 
-    __slots__ = ("torus", "_loads", "_ids")
+    __slots__ = ("torus", "array")
 
-    def __init__(
-        self,
-        torus: Torus3D,
-        loads: np.ndarray | None = None,
-        *,
-        link_ids: np.ndarray | None = None,
-    ):
+    def __init__(self, torus: Torus3D, loads: np.ndarray | None = None):
         self.torus = torus
         if loads is None:
             loads = np.zeros(torus.num_nodes * LINKS_PER_NODE, dtype=np.int64)
-        self._loads = loads
-        self._ids = link_ids
-
-    @classmethod
-    def empty(cls, torus: Torus3D, *, sparse: bool = False) -> "LinkLoadVector":
-        """A zeroed accumulator in the requested representation."""
-        if sparse:
-            return cls(
-                torus,
-                np.zeros(0, dtype=np.int64),
-                link_ids=np.zeros(0, dtype=np.int64),
-            )
-        return cls(torus)
-
-    @classmethod
-    def from_link_totals(
-        cls, torus: Torus3D, link_ids: np.ndarray, totals: np.ndarray
-    ) -> "LinkLoadVector":
-        """Sparse loads from sorted unique *link_ids* and their totals."""
-        return cls(
-            torus,
-            np.ascontiguousarray(totals, dtype=np.int64),
-            link_ids=np.ascontiguousarray(link_ids, dtype=np.int64),
-        )
-
-    @property
-    def is_sparse(self) -> bool:
-        """Whether this accumulator uses the sparse representation."""
-        return self._ids is not None
-
-    @property
-    def array(self) -> np.ndarray:
-        """The dense per-link byte vector (index = dense link id).
-
-        Sparse accumulators materialise it on demand — O(num_links)
-        memory, meant for parity tests and small tori, not the 131k-rank
-        hot path (pricing goes through :meth:`lookup` instead).
-        """
-        if self._ids is None:
-            return self._loads
-        dense = np.zeros(self.torus.num_nodes * LINKS_PER_NODE, dtype=np.int64)
-        dense[self._ids] = self._loads
-        return dense
-
-    def lookup(self, link_ids: np.ndarray) -> np.ndarray:
-        """Per-link byte totals of *link_ids* (0 for untouched links)."""
-        if self._ids is None:
-            return self._loads[link_ids]
-        if not len(self._ids):
-            return np.zeros(len(link_ids), dtype=np.int64)
-        pos = np.searchsorted(self._ids, link_ids)
-        pos = np.minimum(pos, len(self._ids) - 1)
-        found = self._ids[pos] == link_ids
-        return np.where(found, self._loads[pos], 0)
+        #: The per-link byte vector (index = dense link id).
+        self.array = loads
 
     def load(self, link: Link) -> int:
         """Bytes accumulated on *link*."""
-        lid = link_id_of(self.torus, link)
-        if self._ids is None:
-            return int(self._loads[lid])
-        return int(self.lookup(np.asarray([lid], dtype=np.int64))[0])
+        return int(self.array[link_id_of(self.torus, link)])
 
     def max_load(self) -> int:
         """The heaviest link's byte count (0 when no traffic)."""
-        return int(self._loads.max(initial=0))
+        return int(self.array.max(initial=0))
 
     def total_bytes(self) -> int:
         """Total link-byte volume (equals hop-bytes of the message set)."""
-        return int(self._loads.sum())
+        return int(self.array.sum())
 
     def num_loaded_links(self) -> int:
         """Number of links that carried any traffic."""
-        return int(np.count_nonzero(self._loads))
+        return int(np.count_nonzero(self.array))
 
     def items(self):
         """Iterate ``(link, bytes)`` pairs over loaded links."""
-        if self._ids is None:
-            for lid in np.flatnonzero(self._loads):
-                yield link_of_id(self.torus, int(lid)), int(self._loads[lid])
-            return
-        for lid, val in zip(self._ids.tolist(), self._loads.tolist()):
-            if val:
-                yield link_of_id(self.torus, lid), val
+        for lid in np.flatnonzero(self.array):
+            yield link_of_id(self.torus, int(lid)), int(self.array[lid])
 
     def as_dict(self) -> dict[Link, int]:
         """Loaded links as a dict (parity-test convenience)."""
@@ -317,26 +219,12 @@ class LinkLoadVector:
 
     def merge(self, other: "LinkLoadVector") -> None:
         """Accumulate another load set into this one (concurrent traffic)."""
-        if self._ids is None and other._ids is None:
-            self._loads = self._loads + other._loads
-        elif self._ids is not None and other._ids is not None:
-            self._ids, self._loads = _merge_sparse(
-                self._ids, self._loads, other._ids, other._loads
-            )
-        else:
-            # Mixed representations (the sparse switch changed between
-            # exchanges): fall back to the dense sum.
-            dense = self.array + other.array
-            self._ids = None
-            self._loads = dense
+        self.array = self.array + other.array
 
     @property
     def resident_nbytes(self) -> int:
         """Bytes this accumulator keeps resident (cache accounting)."""
-        total = self._loads.nbytes
-        if self._ids is not None:
-            total += self._ids.nbytes
-        return total
+        return self.array.nbytes
 
     def __len__(self) -> int:
         return self.num_loaded_links()
@@ -622,21 +510,13 @@ class VectorBackend:
     ) -> tuple[RoutedExchange, LinkLoadVector]:
         """Route one exchange round; loads are read-only (cache-shared)."""
         placement = as_placement(torus, placement_nodes)
-        # Batches memoise their digest; shared-memory batches arrive with
-        # it pre-seeded by the publisher, so workers never rehash the
-        # columns (see repro.exec.shm).
         key = (torus.dims, placement.digest, messages.digest())
         cached = _ROUTE_CACHE.get(key)
         if cached is not None:
             return cached
 
-        num_links = torus.num_nodes * LINKS_PER_NODE
         exchange = self._route_uncached(
-            torus,
-            placement,
-            messages,
-            hop_limit=expansion_hop_limit(),
-            sparse=sparse_mode(num_links),
+            torus, placement, messages, hop_limit=expansion_hop_limit()
         )
         _ROUTE_CACHE.put(key, exchange)
         return exchange
@@ -648,7 +528,6 @@ class VectorBackend:
         messages: HaloBatch,
         *,
         hop_limit: int,
-        sparse: bool,
     ) -> tuple[RoutedExchange, LinkLoadVector]:
         """The routing pipeline with explicit streaming parameters."""
         src, dst, nbytes = messages.src, messages.dst, messages.nbytes
@@ -684,43 +563,24 @@ class VectorBackend:
             pair_bytes = np.zeros(0)
 
         if total <= hop_limit:
-            # One-shot expansion: the original dense path.
             starts, link_ids64 = _expand_links(
                 torus.dims, pair_src, pair_dst, step, count, pair_hops64
             )
             chunk_bounds = None
-            if sparse:
-                if link_ids64.size:
-                    u, inv = np.unique(link_ids64, return_inverse=True)
-                    vals = np.bincount(
-                        inv,
-                        weights=np.repeat(pair_bytes, pair_hops64),
-                        minlength=len(u),
-                    ).astype(np.int64)
-                else:
-                    u = np.zeros(0, dtype=np.int64)
-                    vals = np.zeros(0, dtype=np.int64)
-                loads = LinkLoadVector.from_link_totals(torus, u, vals)
+            if link_ids64.size:
+                load_arr = np.bincount(
+                    link_ids64,
+                    weights=np.repeat(pair_bytes, pair_hops64),
+                    minlength=num_links,
+                ).astype(np.int64)
             else:
-                if link_ids64.size:
-                    load_arr = np.bincount(
-                        link_ids64,
-                        weights=np.repeat(pair_bytes, pair_hops64),
-                        minlength=num_links,
-                    ).astype(np.int64)
-                else:
-                    load_arr = np.zeros(num_links, dtype=np.int64)
-                loads = LinkLoadVector(torus, load_arr)
+                load_arr = np.zeros(num_links, dtype=np.int64)
             link_ids = link_ids64.astype(idx_t)
         else:
             # Streaming expansion: bounded chunks, incremental loads.
             chunk_bounds = _chunk_bounds(pair_hops64, hop_limit)
             starts = link_ids = None
-            if sparse:
-                acc_ids = np.zeros(0, dtype=np.int64)
-                acc_vals = np.zeros(0, dtype=np.int64)
-            else:
-                load_arr = np.zeros(num_links, dtype=np.int64)
+            load_arr = np.zeros(num_links, dtype=np.int64)
             n_chunks = len(chunk_bounds) - 1
             for i in range(n_chunks):
                 lo, hi = int(chunk_bounds[i]), int(chunk_bounds[i + 1])
@@ -735,23 +595,13 @@ class VectorBackend:
                 if not c_ids.size:
                     continue
                 weights = np.repeat(pair_bytes[lo:hi], pair_hops64[lo:hi])
-                if sparse:
-                    u, inv = np.unique(c_ids, return_inverse=True)
-                    vals = np.bincount(inv, weights=weights, minlength=len(u)).astype(
-                        np.int64
-                    )
-                    acc_ids, acc_vals = _merge_sparse(acc_ids, acc_vals, u, vals)
-                else:
-                    load_arr += np.bincount(
-                        c_ids, weights=weights, minlength=num_links
-                    ).astype(np.int64)
-            if sparse:
-                loads = LinkLoadVector.from_link_totals(torus, acc_ids, acc_vals)
-            else:
-                loads = LinkLoadVector(torus, load_arr)
+                load_arr += np.bincount(
+                    c_ids, weights=weights, minlength=num_links
+                ).astype(np.int64)
             _STREAMED.inc()
             _CHUNKS.inc(n_chunks)
 
+        loads = LinkLoadVector(torus, load_arr)
         max_link = loads.max_load()
         if max_link >= EXACT_BYTES_LIMIT:
             raise OverflowError(
@@ -771,8 +621,7 @@ class VectorBackend:
             starts,
             link_ids,
             chunk_bounds,
-            loads._loads,
-            loads._ids,
+            load_arr,
         )
         routed = RoutedExchange(
             torus=torus,
@@ -792,9 +641,7 @@ class VectorBackend:
 
     def empty_loads(self, torus: Torus3D) -> LinkLoadVector:
         """A zeroed accumulator for concurrent (multi-sibling) traffic."""
-        return LinkLoadVector.empty(
-            torus, sparse=sparse_mode(torus.num_nodes * LINKS_PER_NODE)
-        )
+        return LinkLoadVector(torus)
 
     def round_estimate(
         self, routed: RoutedExchange, loads: LinkLoadVector, machine
@@ -818,7 +665,7 @@ class VectorBackend:
             if not link_ids.size:
                 continue
             nonzero = routed.pair_hops[lo:hi] > 0
-            per_hop = loads.lookup(link_ids)
+            per_hop = loads.array[link_ids]
             # Segments are contiguous and zero-hop segments are empty, so
             # the starts of the non-empty segments partition the flat
             # array exactly.
@@ -845,13 +692,12 @@ def route_exchange_streamed(
     messages: HaloBatch,
     *,
     max_expand_hops: Optional[int] = None,
-    sparse: bool = False,
 ) -> tuple[RoutedExchange, LinkLoadVector]:
-    """Route one exchange with forced streaming parameters, uncached.
+    """Route one exchange with a forced expansion hop limit, uncached.
 
     The parity surface of the streaming engine: tests and the
     ``netsim-streaming-parity`` verify oracle call this with arbitrary
-    chunk limits and representations and assert the result is
+    chunk limits and assert the result is
     bit-identical to :meth:`VectorBackend.route_exchange` (and to the
     reference simulator). Bypasses the route cache so a cached one-shot
     entry can never mask the streamed code path.
@@ -861,7 +707,5 @@ def route_exchange_streamed(
         hop_limit = expansion_hop_limit()
     else:
         hop_limit = max(1, int(max_expand_hops))
-    return VECTOR._route_uncached(
-        torus, placement, messages, hop_limit=hop_limit, sparse=sparse
-    )
+    return VECTOR._route_uncached(torus, placement, messages, hop_limit=hop_limit)
 

@@ -15,7 +15,9 @@ Tracing is **off by default** and the disabled path allocates nothing:
 attribute dict guard it behind ``tracer.enabled`` so a disabled tracer
 costs one attribute read per call. Record emission happens on span
 *exit*, so the timed region pays only two clock reads and two list
-operations.
+operations. An enabled span reads the thread-local stack once, and a
+record inside a span takes its thread id from that span (only root
+records ask the interpreter).
 
 Concurrency
 -----------
@@ -31,6 +33,7 @@ import threading
 import time
 from contextlib import contextmanager
 from itertools import count
+from threading import get_ident
 from typing import Any, Callable, Dict, IO, Iterator, List, Optional
 
 __all__ = [
@@ -113,7 +116,10 @@ def read_jsonl(path) -> List[Dict[str, Any]]:
 class _Span:
     """A live span; emits its record on exit."""
 
-    __slots__ = ("_tracer", "name", "attrs", "span_id", "parent_id", "depth", "t0")
+    __slots__ = (
+        "_tracer", "_stack", "name", "attrs", "span_id", "parent_id",
+        "depth", "tid", "t0",
+    )
 
     def __init__(self, tr: "Tracer", name: str, attrs: Optional[Dict[str, Any]]):
         self._tracer = tr
@@ -122,24 +128,30 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         tr = self._tracer
-        stack = tr._stack()
-        self.parent_id = stack[-1].span_id if stack else 0
+        stack = self._stack = tr._stack()
+        if stack:
+            parent = stack[-1]
+            self.parent_id = parent.span_id
+            self.tid = parent.tid
+        else:
+            self.parent_id = 0
+            self.tid = get_ident()
         self.depth = len(stack)
-        self.span_id = tr._new_id()
+        self.span_id = next(tr._ids)
         stack.append(self)
         self.t0 = tr._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         t1 = self._tracer._clock()
-        self._tracer._stack().pop()
+        self._stack.pop()
         record: Dict[str, Any] = {
             "type": "span",
             "name": self.name,
             "id": self.span_id,
             "parent": self.parent_id,
             "depth": self.depth,
-            "tid": threading.get_ident(),
+            "tid": self.tid,
             "ts": self.t0,
             "dur": t1 - self.t0,
         }
@@ -174,6 +186,7 @@ class Tracer:
             TraceBuffer() if sink is None else sink
         )
         self._clock = clock
+        # ``next`` on itertools.count is atomic under the GIL.
         self._ids = count(1)
         self._local = threading.local()
         self._emit_lock = threading.Lock()
@@ -181,14 +194,19 @@ class Tracer:
 
     # ------------------------------------------------------------ internals
     def _stack(self) -> List[_Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
+        try:
+            return self._local.stack
+        except AttributeError:
             stack = self._local.stack = []
-        return stack
+            return stack
 
-    def _new_id(self) -> int:
-        # ``next`` on itertools.count is atomic under the GIL.
-        return next(self._ids)
+    def _origin(self) -> tuple:
+        """``(parent id, depth, thread id)`` of a record emitted here."""
+        stack = self._stack()
+        if stack:
+            top = stack[-1]
+            return top.span_id, len(stack), top.tid
+        return 0, 0, get_ident()
 
     def _emit(self, record: Dict[str, Any]) -> None:
         with self._emit_lock:
@@ -210,14 +228,14 @@ class Tracer:
         """An instant event at the current nesting position."""
         if not self.enabled:
             return
-        stack = self._stack()
+        parent, depth, tid = self._origin()
         record: Dict[str, Any] = {
             "type": "event",
             "name": name,
-            "id": self._new_id(),
-            "parent": stack[-1].span_id if stack else 0,
-            "depth": len(stack),
-            "tid": threading.get_ident(),
+            "id": next(self._ids),
+            "parent": parent,
+            "depth": depth,
+            "tid": tid,
             "ts": self._clock(),
         }
         if attrs:
@@ -235,15 +253,15 @@ class Tracer:
         """
         if not self.enabled:
             return
-        stack = self._stack()
+        parent, depth, tid = self._origin()
         record: Dict[str, Any] = {
             "type": "phase",
             "phase": phase,
             "model_time": float(model_time),
-            "id": self._new_id(),
-            "parent": stack[-1].span_id if stack else 0,
-            "depth": len(stack),
-            "tid": threading.get_ident(),
+            "id": next(self._ids),
+            "parent": parent,
+            "depth": depth,
+            "tid": tid,
             "ts": self._clock(),
         }
         if attrs:

@@ -90,23 +90,12 @@ class HaloBatch:
         return len(self.src)
 
     def digest(self) -> bytes:
-        """Digest of the column bytes; keys the network route cache.
-
-        Batch and shared-memory forms of one round share cache entries.
-        Memoised on first use (the arrays are read-only); shared-memory
-        consumers pre-seed it from the segment metadata so attaching
-        never rehashes the columns (see :mod:`repro.exec.shm`).
-        """
-        cached = getattr(self, "_digest", None)
-        if cached is not None:
-            return cached
+        """Digest of the column bytes; keys the network route cache."""
         h = hashlib.blake2b(digest_size=16)
         h.update(self.src.tobytes())
         h.update(self.dst.tobytes())
         h.update(self.nbytes.tobytes())
-        value = h.digest()
-        object.__setattr__(self, "_digest", value)
-        return value
+        return h.digest()
 
 
 def halo_batch(

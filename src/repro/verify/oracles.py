@@ -35,9 +35,8 @@ Registered invariants
     ``route_messages`` -> ``round_time``) agree exactly on a halo
     exchange drawn from the scenario's own placement.
 ``netsim-streaming-parity``
-    Chunked expansion under a deliberately tiny hop limit with sparse
-    link-load accumulation reproduces the one-shot dense result — loads,
-    summaries, and round estimate — bit-for-bit.
+    Chunked expansion under a deliberately tiny hop limit reproduces the
+    one-shot result — loads, summaries, and round estimate — bit-for-bit.
 ``report-sanity``
     All reported times/waits/hops are finite and non-negative and the
     report's identity fields match the plan and machine.
@@ -395,15 +394,15 @@ def check_netsim_parity(run: ScenarioRun) -> None:
 
 @oracle("netsim-streaming-parity")
 def check_netsim_streaming_parity(run: ScenarioRun) -> None:
-    """Streamed sparse routing is bit-identical to the one-shot dense path.
+    """Streamed routing is bit-identical to the one-shot path.
 
     Routes a scenario-drawn exchange twice: once through the cached
-    one-shot dense engine, once through
+    one-shot engine, once through
     :func:`~repro.netsim.engine.route_exchange_streamed` with a hop limit
-    small enough to force chunking and sparse accumulation on. The
-    per-link load vectors and the round estimate must match exactly —
-    the memory budget may change *how* the answer is computed, never the
-    answer (see ``docs/cost_model.md``).
+    small enough to force chunking. The per-link load vectors and the
+    round estimate must match exactly — the memory budget may change
+    *how* the answer is computed, never the answer (see
+    ``docs/cost_model.md``).
     """
     grid, rect, nx, ny = _parity_exchange(run)
     batch = halo_batch(grid, rect, nx, ny, HaloSpec())
@@ -412,25 +411,25 @@ def check_netsim_streaming_parity(run: ScenarioRun) -> None:
     torus = run.placement.space.torus
     nodes = as_placement(torus, run.placement.nodes_array())
 
-    routed_d, loads_d = VECTOR.route_exchange(torus, nodes, batch)
+    routed_o, loads_o = VECTOR.route_exchange(torus, nodes, batch)
     routed_c, loads_c = route_exchange_streamed(
-        torus, nodes, batch, max_expand_hops=7, sparse=True
+        torus, nodes, batch, max_expand_hops=7
     )
     _require(
-        bool((loads_c.array == loads_d.array).all()),
-        "streamed sparse link loads differ from the one-shot dense loads",
+        bool((loads_c.array == loads_o.array).all()),
+        "streamed link loads differ from the one-shot loads",
     )
     _require(
-        loads_c.max_load() == loads_d.max_load()
-        and loads_c.total_bytes() == loads_d.total_bytes(),
+        loads_c.max_load() == loads_o.max_load()
+        and loads_c.total_bytes() == loads_o.total_bytes(),
         f"streamed load summary ({loads_c.max_load()}, {loads_c.total_bytes()})"
-        f" != dense ({loads_d.max_load()}, {loads_d.total_bytes()})",
+        f" != one-shot ({loads_o.max_load()}, {loads_o.total_bytes()})",
     )
-    est_d = VECTOR.round_estimate(routed_d, loads_d, run.machine)
+    est_o = VECTOR.round_estimate(routed_o, loads_o, run.machine)
     est_c = VECTOR.round_estimate(routed_c, loads_c, run.machine)
     _require(
-        est_c == est_d,
-        f"streamed round estimate {est_c!r} != one-shot {est_d!r}",
+        est_c == est_o,
+        f"streamed round estimate {est_c!r} != one-shot {est_o!r}",
     )
 
 

@@ -87,8 +87,9 @@ def test_byte_budget_evicts_lru_first(monkeypatch):
     from repro.exec.placementcache import _placement_nbytes
 
     one = _placement_nbytes(a)
-    # Budget fits exactly two placements of this size.
-    monkeypatch.setenv("REPRO_PLACEMENT_CACHE_MB", str(2.5 * one / 2**20))
+    # The placement budget is an eighth of the overall netsim budget;
+    # size that so the cache fits exactly two placements of this size.
+    monkeypatch.setenv("REPRO_NETSIM_MEM_MB", str(8 * 2.5 * one / 2**20))
     reset_placement_cache()
     cached_placement(ObliviousMapping(), grid, space)
     cached_placement(PartitionMapping(), grid, space)

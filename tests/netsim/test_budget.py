@@ -10,7 +10,6 @@ from repro.netsim.budget import (
     mem_budget_bytes,
     placement_cache_budget_bytes,
     route_cache_budget_bytes,
-    sparse_mode,
 )
 
 
@@ -43,35 +42,17 @@ def test_hop_limit_floor():
     assert expansion_hop_limit(1) >= 1024
 
 
-def test_sparse_mode_forced(monkeypatch):
-    monkeypatch.setenv("REPRO_NETSIM_SPARSE", "always")
-    assert sparse_mode(1)
-    monkeypatch.setenv("REPRO_NETSIM_SPARSE", "never")
-    assert not sparse_mode(10**12)
-    monkeypatch.setenv("REPRO_NETSIM_SPARSE", "bogus")
-    with pytest.raises(ConfigurationError):
-        sparse_mode(1)
-
-
-def test_sparse_mode_auto(monkeypatch):
-    monkeypatch.delenv("REPRO_NETSIM_SPARSE", raising=False)
-    budget = 16 * 2**20
-    # Dense vector within its share: stay dense.
-    assert not sparse_mode(1000, budget)
-    # A dense vector bigger than the share flips sparse.
-    assert sparse_mode(10**7, budget)
-
-
 def test_cache_budgets_derive_from_total(monkeypatch):
     monkeypatch.delenv("REPRO_NETSIM_ROUTE_CACHE_MB", raising=False)
-    monkeypatch.delenv("REPRO_PLACEMENT_CACHE_MB", raising=False)
     monkeypatch.setenv("REPRO_NETSIM_MEM_MB", "128")
     assert route_cache_budget_bytes() == 32 * 2**20
     assert placement_cache_budget_bytes() == 16 * 2**20
 
 
 def test_cache_budget_overrides(monkeypatch):
+    monkeypatch.setenv("REPRO_NETSIM_MEM_MB", "128")
     monkeypatch.setenv("REPRO_NETSIM_ROUTE_CACHE_MB", "7")
-    monkeypatch.setenv("REPRO_PLACEMENT_CACHE_MB", "3")
     assert route_cache_budget_bytes() == 7 * 2**20
-    assert placement_cache_budget_bytes() == 3 * 2**20
+    # Only the route cache has an override; the placement cache keeps
+    # its eighth of the overall budget.
+    assert placement_cache_budget_bytes() == 16 * 2**20

@@ -185,7 +185,7 @@ def test_one_byte_streaming_divergence_caught(good_run, monkeypatch):
         return real(torus, placed, bumped, **kwargs)
 
     monkeypatch.setattr(oracle_mod, "route_exchange_streamed", one_byte_more)
-    with pytest.raises(OracleViolation, match="streamed sparse link loads differ"):
+    with pytest.raises(OracleViolation, match="streamed link loads differ"):
         get_oracle("netsim-streaming-parity")(good_run)
 
 
