@@ -14,6 +14,7 @@ from repro.runtime.process_grid import ProcessGrid
 from repro.topology.routing import path_links
 from repro.topology.torus import Torus3D
 from repro.verify.reference.halo import halo_messages
+from repro.verify.reference.mapping import node_tuples
 from repro.verify.reference.netsim import route_messages
 from repro.wrf.fields import ModelState
 from repro.wrf.solver import ShallowWaterSolver, SolverParams
@@ -37,7 +38,7 @@ def test_route_full_exchange(benchmark):
     """Route a full 1024-rank halo exchange with the reference simulator."""
     grid = ProcessGrid(32, 32)
     space = SlotSpace(Torus3D((8, 8, 8)), 2)
-    nodes = ObliviousMapping().place(grid, space).nodes()
+    nodes = node_tuples(ObliviousMapping().place(grid, space))
     torus = space.torus
     msgs = halo_messages(grid, grid.full_rect(), 415, 445, HaloSpec())
 
@@ -47,13 +48,12 @@ def test_route_full_exchange(benchmark):
 
 def test_route_full_exchange_vector(benchmark):
     """The same 1024-rank exchange through the vectorized engine."""
-    from repro.netsim.engine import VECTOR, as_placement, reset_route_cache
+    from repro.netsim.engine import VECTOR, reset_route_cache
 
     grid = ProcessGrid(32, 32)
     space = SlotSpace(Torus3D((8, 8, 8)), 2)
     torus = space.torus
-    placed = ObliviousMapping().place(grid, space).nodes_array()
-    placement = as_placement(torus, placed)
+    placement = ObliviousMapping().place(grid, space).vector
     batch = halo_batch(grid, grid.full_rect(), 415, 445, HaloSpec())
 
     def cold_route():

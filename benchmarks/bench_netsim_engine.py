@@ -11,8 +11,8 @@ regimes:
 * ``vector warm`` — the NumPy engine hitting the placement-keyed route
   cache, the regime every repeated round/timestep/sweep config runs in.
 
-The engine gets what production hands it: a ``HaloBatch`` and a
-``PlacementVector`` over ``Placement.nodes_array()``.
+The engine gets what production hands it: a ``HaloBatch`` and the
+placement's own ``PlacementVector`` (``Placement.vector``).
 
 The before/after trajectory is appended to ``BENCH_netsim.json`` at the
 repo root; the test asserts the >=10x acceptance floor on the cold path
@@ -31,11 +31,12 @@ from conftest import record
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.netsim.budget import route_cache_budget_bytes
-from repro.netsim.engine import VECTOR, as_placement, reset_route_cache, route_cache_stats
+from repro.netsim.engine import VECTOR, reset_route_cache, route_cache_stats
 from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.machines import BLUE_GENE_P
 from repro.verify.reference.halo import halo_messages
+from repro.verify.reference.mapping import node_tuples
 from repro.verify.reference.netsim import round_time, route_messages
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_netsim.json"
@@ -63,10 +64,10 @@ def test_netsim_engine_speedup():
     torus = machine.torus_for_ranks(RANKS, None)
     rpn = machine.mode(None).ranks_per_node
     mapped = ObliviousMapping().place(grid, SlotSpace(torus, rpn))
-    # One placement vector per placement, as simulate_iteration builds it.
-    placement = as_placement(torus, mapped.nodes_array())
+    # The vector every placement builds once, as simulate_iteration uses it.
+    placement = mapped.vector
     batch = halo_batch(grid, grid.full_rect(), *DOMAIN, HaloSpec())
-    nodes = mapped.nodes()
+    nodes = node_tuples(mapped)
     msgs = halo_messages(grid, grid.full_rect(), *DOMAIN, HaloSpec())
 
     def scalar_kernel():

@@ -41,12 +41,7 @@ from conftest import record
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.netsim.budget import mem_budget_bytes
-from repro.netsim.engine import (
-    VECTOR,
-    as_placement,
-    reset_route_cache,
-    route_cache_stats,
-)
+from repro.netsim.engine import VECTOR, reset_route_cache, route_cache_stats
 from repro.obs.metrics import peak_rss_bytes, sample_rss
 from repro.runtime.decomposition import choose_process_grid
 from repro.runtime.halo import HaloSpec, halo_batch
@@ -94,7 +89,7 @@ def _one_scale(machine, ranks: int) -> dict:
     t0 = time.perf_counter()
     placement = ObliviousMapping().place(grid, SlotSpace(torus, rpn))
     placement_s = time.perf_counter() - t0
-    pvec = as_placement(torus, placement.nodes_array())
+    pvec = placement.vector
 
     batch = halo_batch(grid, grid.full_rect(), *DOMAIN, HaloSpec())
 

@@ -12,17 +12,18 @@ same node are zero hops apart.
 occupies (a bijection onto a subset of slots) and therefore the node
 coordinate the network simulator routes from.
 
-A placement is array-backed: mappings may hand the constructor a dense
-``(P, 3)`` ``int64`` slot array (what the vectorized heuristics produce),
-the bijection check runs vectorized, and :meth:`Placement.nodes_array`
-exposes the per-rank node coordinates as an array the network engine
-consumes without materialising a Python tuple list per iteration.
+A placement holds one representation: a read-only ``(P, 3)`` ``int64``
+slot array. The constructor normalises its input once, checks bounds and
+bijection vectorized (the per-rank walk runs only to word an error), and
+builds the node array with its
+:class:`~repro.netsim.engine.PlacementVector` (node ranks and route-cache
+digest) exactly once, so every placement-cache hit reuses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from repro.errors import MappingError
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.torus import Torus3D, TorusCoord
 from repro.util.validation import check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.netsim.engine import PlacementVector
 
 __all__ = ["SlotCoord", "SlotSpace", "Box", "Placement", "Mapping"]
 
@@ -124,17 +128,8 @@ class Box:
             for dx in range(self.w)
         ]
 
-    def slots_array(self) -> np.ndarray:
-        """All slots as a ``(volume, 3)`` ``int64`` array, :meth:`slots` order."""
-        s_idx, y_idx, x_idx = np.indices((self.d, self.h, self.w))
-        out = np.empty((self.volume, 3), dtype=np.int64)
-        out[:, 0] = self.x0 + x_idx.ravel()
-        out[:, 1] = self.y0 + y_idx.ravel()
-        out[:, 2] = self.s0 + s_idx.ravel()
-        return out
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Placement:
     """A complete rank -> slot assignment.
 
@@ -145,42 +140,55 @@ class Placement:
     grid:
         The virtual process grid mapped from.
     slots:
-        ``slots[rank]`` is the slot of world rank *rank*. The constructor
-        also accepts a ``(P, 3)`` integer array, which is normalised to
-        the tuple form (so equality and reprs do not depend on the input
-        form) while the array is retained for :meth:`slots_array`.
+        ``slots[rank]`` is the slot of world rank *rank*, as one read-only
+        ``(P, 3)`` ``int64`` array. The constructor accepts any ``(P, 3)``
+        integer array-like: arrays from the heuristics, tuples from the
+        reference heuristics.
     name:
         The producing mapping's name (for reports).
+    vector:
+        The per-rank node coordinates wrapped for the network engine (node
+        ranks plus the route-cache digest), built once by the constructor.
+
+    Placements compare by identity: the placement cache shares one object
+    per key, and nothing compares their contents.
     """
 
     space: SlotSpace
     grid: ProcessGrid
-    slots: Tuple[SlotCoord, ...]
+    slots: np.ndarray
     name: str
+    vector: PlacementVector = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.slots, np.ndarray):
-            arr = np.ascontiguousarray(self.slots, dtype=np.int64)
-            arr = arr.reshape(len(arr), 3)
-            arr.flags.writeable = False
-            slots = tuple(map(tuple, arr.tolist()))
-            object.__setattr__(self, "slots", slots)
-            object.__setattr__(self, "_slots_arr", (slots, arr))
-        if len(self.slots) != self.grid.size:
+        # Imported here, not at module level: the engine imports repro.exec,
+        # whose plan cache imports repro.core and so this module.
+        from repro.netsim.engine import PlacementVector
+
+        slots = np.array(self.slots, dtype=np.int64)
+        slots = slots.reshape(len(slots), 3)
+        slots.flags.writeable = False
+        object.__setattr__(self, "slots", slots)
+        if len(slots) != self.grid.size:
             raise MappingError(
-                f"placement covers {len(self.slots)} ranks, grid has {self.grid.size}"
+                f"placement covers {len(slots)} ranks, grid has {self.grid.size}"
             )
         # One shared slot-index implementation (slot_indices) serves both
         # the constructor's bijection check and the verification oracles.
         ids = self.slot_indices()
-        if len(set(ids)) != len(ids):
+        if np.bincount(ids).max() > 1:
             self._raise_duplicate(ids)
+        nodes = slots.copy()
+        nodes[:, 2] //= self.space.ranks_per_node
+        nodes.flags.writeable = False
+        object.__setattr__(self, "vector", PlacementVector(self.space.torus, nodes))
 
-    def _raise_duplicate(self, ids: Sequence[int]) -> None:
+    def _raise_duplicate(self, ids: np.ndarray) -> None:
         """Report the first duplicated slot: the lowest rank that reuses one."""
         seen: Dict[int, int] = {}
-        for rank, (slot, idx) in enumerate(zip(self.slots, ids)):
+        for rank, idx in enumerate(ids.tolist()):
             if idx in seen:
+                slot = tuple(self.slots[rank].tolist())
                 raise MappingError(
                     f"ranks {seen[idx]} and {rank} both mapped to slot {slot}"
                 )
@@ -189,60 +197,25 @@ class Placement:
 
     def node_of(self, rank: int) -> TorusCoord:
         """Torus node of world rank *rank*."""
-        return self.space.node_of(self.slots[rank])
+        return self.space.node_of(tuple(self.slots[rank].tolist()))
 
-    def nodes(self) -> List[TorusCoord]:
-        """Per-rank node coordinates (index = world rank), as tuples."""
-        return [self.space.node_of(s) for s in self.slots]
-
-    def slots_array(self) -> np.ndarray:
-        """Per-rank slot coordinates as a read-only ``(P, 3)`` array.
-
-        Cached against the identity of :attr:`slots`, so oracles that
-        mutate a copied placement's ``slots`` (via ``object.__setattr__``)
-        get a freshly derived array, never a stale one.
-        """
-        cached = self.__dict__.get("_slots_arr")
-        if cached is not None and cached[0] is self.slots:
-            return cached[1]
-        arr = np.asarray(self.slots, dtype=np.int64).reshape(len(self.slots), 3)
-        arr.flags.writeable = False
-        object.__setattr__(self, "_slots_arr", (self.slots, arr))
-        return arr
-
-    def nodes_array(self) -> np.ndarray:
-        """Per-rank node coordinates as a read-only ``(P, 3)`` array.
-
-        Feeds :func:`repro.netsim.engine.as_placement` directly — no
-        per-rank tuple list is built on the simulation hot path.
-        """
-        cached = self.__dict__.get("_nodes_arr")
-        if cached is not None and cached[0] is self.slots:
-            return cached[1]
-        nodes = self.slots_array().copy()
-        nodes[:, 2] //= self.space.ranks_per_node
-        nodes.flags.writeable = False
-        object.__setattr__(self, "_nodes_arr", (self.slots, nodes))
-        return nodes
-
-    def slot_indices(self) -> List[int]:
-        """Linear slot id of every rank, in rank order.
+    def slot_indices(self) -> np.ndarray:
+        """Linear slot id of every rank, in rank order (``int64``).
 
         The placement is a bijection onto a slot subset exactly when
-        these ids are pairwise distinct; computed from raw coordinates
-        (not ``__post_init__`` state) so verification oracles can
-        re-check placements mutated after construction.
+        these ids are pairwise distinct. Derived from :attr:`slots` on
+        every call, never from the node array the constructor builds, so
+        verification oracles can re-check a placement whose slots were
+        replaced after construction.
         """
         X, Y, S = self.space.dims
-        arr = self.slots_array()
-        dims = np.array([X, Y, S], dtype=np.int64)
-        ok = (arr >= 0).all(axis=1) & (arr < dims).all(axis=1)
-        if not bool(ok.all()):
-            x, y, s = self.slots[int(np.flatnonzero(~ok)[0])]
-            raise MappingError(
-                f"slot ({x}, {y}, {s}) outside slot box {self.space.dims}"
-            )
-        return (arr[:, 0] + X * (arr[:, 1] + Y * arr[:, 2])).tolist()
+        slots = self.slots
+        outside = (slots < 0) | (slots >= (X, Y, S))
+        if outside.any():
+            rank = int(np.flatnonzero(outside.any(axis=1))[0])
+            slot = tuple(slots[rank].tolist())
+            raise MappingError(f"slot {slot} outside slot box {self.space.dims}")
+        return slots[:, 0] + X * (slots[:, 1] + Y * slots[:, 2])
 
     def hops_between(self, rank_a: int, rank_b: int) -> int:
         """Torus hop distance between two ranks (0 if co-located)."""

@@ -46,7 +46,7 @@ class MappingMetrics:
 
 def _hops_of(placement: Placement, messages: HaloBatch) -> np.ndarray:
     """Torus hop distance of every message, broadcast over the node array."""
-    nodes = placement.nodes_array()
+    nodes = placement.vector.coords
     dims = np.asarray(placement.space.torus.dims, dtype=np.int64)
     d = np.abs(nodes[messages.src] - nodes[messages.dst]) % dims
     return np.minimum(d, dims - d).sum(axis=1)

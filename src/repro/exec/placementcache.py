@@ -11,11 +11,14 @@ memoized behind a keyed LRU cache:
     (mapping name, grid dims, torus dims, ranks-per-node, rects
     signature) -> Placement
 
-Cached placements are frozen dataclasses, shared rather than copied.
+Cached placements are frozen dataclasses, shared rather than copied. Each
+carries the node array and :class:`~repro.netsim.engine.PlacementVector`
+it built once, so a hit hands the engine a ready route-cache digest.
 
-Eviction is **byte-budgeted**, not entry-counted: a 131k-rank placement
-is ~3 MB resident while a 512-rank one is ~12 kB, so a fixed entry cap
-would let residency grow with the rank count. The budget comes from
+Eviction is **byte-budgeted**, not entry-counted: an entry is charged the
+bytes of the arrays it holds (slots, nodes and node ranks: 7 MiB at
+131,072 ranks, 28 kB at 512), so a fixed entry cap would let residency
+grow with the rank count. The budget comes from
 :func:`repro.netsim.budget.placement_cache_budget_bytes` (an eighth
 of ``REPRO_NETSIM_MEM_MB``). The cache is one
 :class:`~repro.exec.cache.BoundedCache` (``exec.placement_cache``):
@@ -44,20 +47,11 @@ PlacementKey = Tuple[
     str, int, int, Tuple[int, int, int], int, Optional[Tuple[GridRect, ...]]
 ]
 
-#: Rough per-slot overhead of the tuple-of-tuples form of a placement
-#: (tuple headers + small-int boxing) on top of the coordinate array.
-_SLOT_OVERHEAD_BYTES = 200
-
 
 def _placement_nbytes(placement: "Placement") -> int:
-    """Resident-byte estimate of one cached placement.
-
-    The dominant terms: the ``(ranks, 3)`` int64 slots array (plus its
-    node-ranks sibling, cached on first use — counted up front so the
-    budget holds either way) and the boxed tuple form.
-    """
-    arr = placement.slots_array()
-    return arr.nbytes * 2 + len(placement.slots) * _SLOT_OVERHEAD_BYTES
+    """Resident bytes of one cached placement: the arrays it holds."""
+    vector = placement.vector
+    return placement.slots.nbytes + vector.coords.nbytes + vector.node_ranks.nbytes
 
 
 _PLACEMENT_CACHE = BoundedCache(

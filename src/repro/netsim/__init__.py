@@ -25,7 +25,6 @@ from repro.netsim.engine import (
     LinkLoadVector,
     PlacementVector,
     RoutedExchange,
-    as_placement,
     link_id_of,
     link_of_id,
     reset_route_cache,
@@ -45,7 +44,6 @@ __all__ = [
     "LinkLoadVector",
     "PlacementVector",
     "RoutedExchange",
-    "as_placement",
     "link_id_of",
     "link_of_id",
     "reset_route_cache",

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,7 +71,6 @@ __all__ = [
     "link_id_of",
     "link_of_id",
     "PlacementVector",
-    "as_placement",
     "RoutedExchange",
     "LinkLoadVector",
     "VectorBackend",
@@ -135,11 +134,14 @@ def link_of_id(torus: Torus3D, link_id: int) -> Link:
 class PlacementVector:
     """A rank placement prepared for array routing.
 
-    Holds the per-rank node coordinates as an ``(N, 3)`` ``int64`` array
-    (:meth:`~repro.core.mapping.base.Placement.nodes_array`), plus a
-    digest of the coordinate bytes that keys the route cache. Build one
-    per placement (``simulate_iteration`` does) so the digest is shared by
-    the parent and every sibling exchange.
+    Holds the per-rank node coordinates as an ``(N, 3)`` ``int64`` array,
+    their linear node ranks (what the router indexes), and a digest of the
+    coordinate bytes that keys the route cache. Every
+    :class:`~repro.core.mapping.base.Placement` builds its own once
+    (:attr:`~repro.core.mapping.base.Placement.vector`), so a placement-cache
+    hit reuses the digest and the parent and every sibling exchange share
+    it. The engine accepts only this form: a raw node array is never
+    hashed again behind a caller's back.
     """
 
     __slots__ = ("torus", "coords", "node_ranks", "digest")
@@ -153,22 +155,11 @@ class PlacementVector:
         self.node_ranks = self.coords[:, 0] + x_dim * (
             self.coords[:, 1] + y_dim * self.coords[:, 2]
         )
-        self.digest = hashlib.blake2b(
-            self.coords.tobytes(), digest_size=16
-        ).digest()
+        self.node_ranks.flags.writeable = False
+        self.digest = hashlib.blake2b(self.coords, digest_size=16).digest()
 
     def __len__(self) -> int:
         return len(self.coords)
-
-
-PlacementLike = Union[PlacementVector, np.ndarray]
-
-
-def as_placement(torus: Torus3D, nodes: PlacementLike) -> PlacementVector:
-    """Wrap *nodes* for the engine (pass-through if already wrapped)."""
-    if isinstance(nodes, PlacementVector):
-        return nodes
-    return PlacementVector(torus, nodes)
 
 
 # ----------------------------------------------------------------------
@@ -505,11 +496,10 @@ class VectorBackend:
     def route_exchange(
         self,
         torus: Torus3D,
-        placement_nodes: PlacementLike,
+        placement: PlacementVector,
         messages: HaloBatch,
     ) -> tuple[RoutedExchange, LinkLoadVector]:
         """Route one exchange round; loads are read-only (cache-shared)."""
-        placement = as_placement(torus, placement_nodes)
         key = (torus.dims, placement.digest, messages.digest())
         cached = _ROUTE_CACHE.get(key)
         if cached is not None:
@@ -688,7 +678,7 @@ VECTOR = VectorBackend()
 
 def route_exchange_streamed(
     torus: Torus3D,
-    placement_nodes: PlacementLike,
+    placement: PlacementVector,
     messages: HaloBatch,
     *,
     max_expand_hops: Optional[int] = None,
@@ -702,7 +692,6 @@ def route_exchange_streamed(
     reference simulator). Bypasses the route cache so a cached one-shot
     entry can never mask the streamed code path.
     """
-    placement = as_placement(torus, placement_nodes)
     if max_expand_hops is None:
         hop_limit = expansion_hop_limit()
     else:

@@ -10,12 +10,10 @@ priced, so a bad placement of one sibling slows its neighbours — exactly
 the congestion effect the paper's mappings relieve.
 
 Routing and pricing go through the vectorized network engine
-(:data:`repro.netsim.engine.VECTOR`). Callers may pass
-``placement_nodes`` either as the ``(N, 3)`` node array of
-:meth:`~repro.core.mapping.base.Placement.nodes_array` or pre-wrapped in
-a :class:`~repro.netsim.engine.PlacementVector` (as
-``simulate_iteration`` does) so one placement digest serves every
-exchange of an iteration.
+(:data:`repro.netsim.engine.VECTOR`). Callers pass the placement's
+:attr:`~repro.core.mapping.base.Placement.vector`, built once per
+placement, so one digest serves every exchange of an iteration and every
+iteration that reuses the placement.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.netsim.contention import CommEstimate
-from repro.netsim.engine import VECTOR, PlacementLike
+from repro.netsim.engine import VECTOR, PlacementVector
 from repro.obs.trace import tracer
 from repro.perfsim.params import WorkloadParams
 from repro.runtime.halo import halo_batch
@@ -72,7 +70,7 @@ def halo_comm_cost(
     nx: int,
     ny: int,
     torus: Torus3D,
-    placement_nodes: PlacementLike,
+    placement: PlacementVector,
     machine: Machine,
     workload: WorkloadParams,
 ) -> CommCost:
@@ -87,10 +85,10 @@ def halo_comm_cost(
         with tr.span(
             "netsim.halo_exchange", {"nx": nx, "ny": ny, "messages": len(msgs)}
         ):
-            routed, loads = VECTOR.route_exchange(torus, placement_nodes, msgs)
+            routed, loads = VECTOR.route_exchange(torus, placement, msgs)
             est = VECTOR.round_estimate(routed, loads, machine)
     else:
-        routed, loads = VECTOR.route_exchange(torus, placement_nodes, msgs)
+        routed, loads = VECTOR.route_exchange(torus, placement, msgs)
         est = VECTOR.round_estimate(routed, loads, machine)
     return _cost_from_estimate(est, workload.halo.rounds_per_step)
 
@@ -100,7 +98,7 @@ def concurrent_comm_costs(
     rects: Sequence[GridRect],
     domains: Sequence[tuple[int, int]],
     torus: Torus3D,
-    placement_nodes: PlacementLike,
+    placement: PlacementVector,
     machine: Machine,
     workload: WorkloadParams,
 ) -> List[CommCost]:
@@ -116,7 +114,7 @@ def concurrent_comm_costs(
     with tr.span("netsim.concurrent_exchange"):
         for rect, (nx, ny) in zip(rects, domains):
             msgs = halo_batch(grid, rect, nx, ny, workload.halo)
-            routed, local = VECTOR.route_exchange(torus, placement_nodes, msgs)
+            routed, local = VECTOR.route_exchange(torus, placement, msgs)
             per_sibling.append(routed)
             shared.merge(local)
     out: List[CommCost] = []

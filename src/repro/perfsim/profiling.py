@@ -47,7 +47,7 @@ def profile_step(
         spec.nx,
         spec.ny,
         torus,
-        placement.nodes_array(),
+        placement.vector,
         machine,
         workload,
     )

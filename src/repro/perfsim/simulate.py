@@ -18,7 +18,6 @@ from repro.core.scheduler.plan import ExecutionPlan
 from repro.errors import SimulationError
 from repro.exec.placementcache import cached_placement
 from repro.iosim.model import IoModel
-from repro.netsim.engine import as_placement
 from repro.obs.metrics import sample_rss
 from repro.obs.trace import tracer
 from repro.perfsim.commcost import CommCost, concurrent_comm_costs, halo_comm_cost
@@ -209,10 +208,9 @@ def _simulate(
             mapping, grid, space, plan.rects if plan.concurrent else None
         )
     torus = placement.space.torus
-    # One PlacementVector serves the parent and every sibling exchange:
-    # the cache digest of the (N, 3) node array is computed once per
-    # iteration instead of once per comm-cost call.
-    nodes = as_placement(torus, placement.nodes_array())
+    # The placement built its PlacementVector once; the parent and every
+    # sibling exchange share its route-cache digest.
+    vector = placement.vector
 
     # ------------------------------------------------------------ parent
     with tr.span("perfsim.parent_step"):
@@ -223,7 +221,7 @@ def _simulate(
             machine, workload
         )
         p_comm = halo_comm_cost(
-            grid, parent_rect, parent.nx, parent.ny, torus, nodes, machine, workload
+            grid, parent_rect, parent.nx, parent.ny, torus, vector, machine, workload
         )
         parent_cost = step_cost(p_comp, p_comm, machine, workload, parent_rect.area)
 
@@ -236,12 +234,12 @@ def _simulate(
         sib_domains = [(a.domain.nx, a.domain.ny) for a in plan.assignments]
         if plan.concurrent:
             comms = concurrent_comm_costs(
-                grid, sib_rects, sib_domains, torus, nodes, machine, workload
+                grid, sib_rects, sib_domains, torus, vector, machine, workload
             )
         else:
             comms = [
                 halo_comm_cost(
-                    grid, rect, a.domain.nx, a.domain.ny, torus, nodes,
+                    grid, rect, a.domain.nx, a.domain.ny, torus, vector,
                     machine, workload
                 )
                 for a, rect in zip(plan.assignments, sib_rects)

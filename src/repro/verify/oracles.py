@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.scheduler.strategies import SequentialStrategy
-from repro.netsim.engine import VECTOR, as_placement, route_exchange_streamed
+from repro.netsim.engine import VECTOR, route_exchange_streamed
 from repro.netsim.metrics import traffic_metrics
 from repro.perfsim.simulate import IterationReport, effective_rect, simulate_iteration
 from repro.runtime.decomposition import choose_process_grid
@@ -57,6 +57,7 @@ from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.verify.reference import netsim as ref_netsim
 from repro.verify.reference.halo import halo_messages
+from repro.verify.reference.mapping import node_tuples
 from repro.verify.scenarios import ScenarioRun
 
 __all__ = [
@@ -294,11 +295,11 @@ def check_mapping_bijectivity(run: ScenarioRun) -> None:
     except Exception as exc:
         raise OracleViolation(f"placement has out-of-box slots: {exc}") from None
     _require(
-        len(set(indices)) == len(indices),
+        len(set(indices.tolist())) == len(indices),
         "placement is not injective: two ranks share a slot",
     )
     torus = placement.space.torus
-    for rank, node in enumerate(placement.nodes()):
+    for rank, node in enumerate(node_tuples(placement)):
         _require(
             torus.contains(node),
             f"rank {rank} placed on node {node} outside torus {torus.dims}",
@@ -370,8 +371,8 @@ def check_netsim_parity(run: ScenarioRun) -> None:
     torus = run.placement.space.torus
     placement = run.placement
 
-    routed_v, loads_v = VECTOR.route_exchange(torus, placement.nodes_array(), batch)
-    routed_r, loads_r = ref_netsim.route_messages(torus, placement.nodes(), msgs)
+    routed_v, loads_v = VECTOR.route_exchange(torus, placement.vector, batch)
+    routed_r, loads_r = ref_netsim.route_messages(torus, node_tuples(placement), msgs)
     m_v = traffic_metrics(routed_v, loads_v)
     m_r = ref_netsim.traffic_metrics(routed_r, loads_r)
     _require(
@@ -409,11 +410,11 @@ def check_netsim_streaming_parity(run: ScenarioRun) -> None:
     if not batch:  # single-rank rectangle: nothing to route
         return
     torus = run.placement.space.torus
-    nodes = as_placement(torus, run.placement.nodes_array())
+    vector = run.placement.vector
 
-    routed_o, loads_o = VECTOR.route_exchange(torus, nodes, batch)
+    routed_o, loads_o = VECTOR.route_exchange(torus, vector, batch)
     routed_c, loads_c = route_exchange_streamed(
-        torus, nodes, batch, max_expand_hops=7
+        torus, vector, batch, max_expand_hops=7
     )
     _require(
         bool((loads_c.array == loads_o.array).all()),

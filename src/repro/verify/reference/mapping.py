@@ -19,6 +19,7 @@ from repro.core.mapping.boxes import assign_boxes
 from repro.core.mapping.metrics import MappingMetrics
 from repro.errors import MappingError
 from repro.runtime.process_grid import GridRect, ProcessGrid
+from repro.topology.torus import TorusCoord
 from repro.verify.reference.folding import (
     fill_rect_into_box,
     snake_fill,
@@ -34,6 +35,7 @@ __all__ = [
     "PartitionMapping",
     "MultiLevelMapping",
     "place",
+    "node_tuples",
     "average_hops",
     "hop_bytes",
     "evaluate_mapping",
@@ -315,6 +317,17 @@ def place(
 ) -> Placement:
     """The reference placement of the heuristic *mapping* implements."""
     return _BY_NAME[mapping.name]().place(grid, space, rects)
+
+
+def node_tuples(placement: Placement) -> List[TorusCoord]:
+    """Per-rank node coordinates, each derived by :meth:`SlotSpace.node_of`.
+
+    The reference side of the network parity checks: read from
+    :attr:`Placement.slots` on every call, independent of the node array
+    the placement builds for the engine.
+    """
+    node_of = placement.space.node_of
+    return [node_of(tuple(slot)) for slot in placement.slots.tolist()]
 
 
 def average_hops(placement: Placement, messages: Iterable[HaloMessage]) -> float:

@@ -83,9 +83,10 @@ class TestPlacement:
                       slots=((0, 0, 0), (0, 0, 1)), name="vn")
         assert p.hops_between(0, 1) == 0
 
-    def test_nodes_list(self):
+    def test_node_array(self):
         grid = ProcessGrid(2, 1)
-        space = SlotSpace(Torus3D((2, 1, 1)), 1)
+        space = SlotSpace(Torus3D((2, 1, 1)), 2)
         p = Placement(space=space, grid=grid,
-                      slots=((0, 0, 0), (1, 0, 0)), name="t")
-        assert p.nodes() == [(0, 0, 0), (1, 0, 0)]
+                      slots=((0, 0, 1), (1, 0, 0)), name="t")
+        assert p.vector.coords.tolist() == [[0, 0, 0], [1, 0, 0]]
+        assert p.vector.node_ranks.tolist() == [0, 1]

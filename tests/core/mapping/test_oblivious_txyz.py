@@ -1,5 +1,6 @@
 """Tests for the sequential XYZT and TXYZ mappings."""
 
+import numpy as np
 import pytest
 
 from repro.core.mapping.base import SlotSpace
@@ -64,7 +65,7 @@ class TestTxyz:
         space = SlotSpace(Torus3D((4, 4, 2)), 1)
         a = ObliviousMapping().place(grid, space)
         b = TxyzMapping().place(grid, space)
-        assert a.nodes() == b.nodes()
+        assert np.array_equal(a.vector.coords, b.vector.coords)
 
     def test_x_neighbours_colocated_in_vn(self):
         """TXYZ's selling point: consecutive ranks share a node."""

@@ -25,7 +25,7 @@ class TestPartitionMapping:
     def test_bijection(self, fig6_setup):
         grid, space, rects = fig6_setup
         p = PartitionMapping().place(grid, space, rects)
-        assert len(set(p.slots)) == grid.size
+        assert len(set(p.slot_indices())) == grid.size
 
     def test_nest_neighbours_one_hop(self, fig6_setup):
         """Fig 6(a): neighbouring nest processes are torus neighbours."""
@@ -53,7 +53,7 @@ class TestPartitionMapping:
         grid = ProcessGrid(8, 4)
         space = SlotSpace(Torus3D((4, 4, 2)), 1)
         p = PartitionMapping().place(grid, space)
-        assert len(set(p.slots)) == 32
+        assert len(set(p.slot_indices())) == 32
 
     def test_beats_oblivious_on_nests(self, fig6_setup):
         grid, space, rects = fig6_setup
@@ -117,7 +117,7 @@ class TestLargeConfigurations:
         obl = ObliviousMapping().place(grid, space, rects)
         for M in (PartitionMapping, MultiLevelMapping):
             p = M().place(grid, space, rects)
-            assert len(set(p.slots)) == 1024
+            assert len(set(p.slot_indices())) == 1024
             m = nest_and_parent_metrics(p, (286, 307), domains, rects, spec)
             o = nest_and_parent_metrics(obl, (286, 307), domains, rects, spec)
             for key in m:
@@ -129,11 +129,11 @@ class TestLargeConfigurations:
         rects = [GridRect(0, 0, 21, 32), GridRect(21, 0, 11, 32)]
         for M in (PartitionMapping, MultiLevelMapping):
             p = M().place(grid, space, rects)
-            assert len(set(p.slots)) == 1024
+            assert len(set(p.slot_indices())) == 1024
 
     def test_bgp_vn_mode(self):
         grid = ProcessGrid(64, 64)
         space = SlotSpace(Torus3D((8, 8, 16)), 4)
         rects = [GridRect(0, 0, 32, 64), GridRect(32, 0, 32, 64)]
         p = PartitionMapping().place(grid, space, rects)
-        assert len(set(p.slots)) == 4096
+        assert len(set(p.slot_indices())) == 4096

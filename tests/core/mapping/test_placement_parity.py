@@ -2,7 +2,7 @@
 
 Every mapping heuristic must produce a placement *bit-identical* to its
 per-rank reference in :mod:`repro.verify.reference.mapping` — same slot
-tuples rank for rank — and every metric must agree exactly with the
+coordinates rank for rank — and every metric must agree exactly with the
 per-message reference (integer hop sums divided once, so even the floats
 match to the last bit).
 """
@@ -78,11 +78,10 @@ def test_every_heuristic_bit_identical_across_backends(case, mapping_cls):
     grid, space, rects = case
     vec = mapping_cls().place(grid, space, rects)
     sca = ref.place(mapping_cls(), grid, space, rects)
-    assert vec.slots == sca.slots
+    assert np.array_equal(vec.slots, sca.slots)
     assert vec.name == sca.name
-    assert np.array_equal(vec.slots_array(), sca.slots_array())
-    assert np.array_equal(vec.nodes_array(), sca.nodes_array())
-    assert vec.nodes() == sca.nodes()
+    assert vec.vector.digest == sca.vector.digest
+    assert [tuple(n) for n in vec.vector.coords.tolist()] == ref.node_tuples(sca)
 
 
 @given(placement_case(), st.sampled_from(MAPPINGS))
@@ -142,21 +141,15 @@ def test_fold_primitives_match_reference(bw, bh, bd, data, style, orientation):
     )
 
 
-def test_box_slots_array_matches_tuple_enumeration():
-    box = Box(1, 2, 3, w=3, h=2, d=4)
-    arr = box.slots_array()
-    assert arr.shape == (box.volume, 3)
-    assert [tuple(r) for r in arr.tolist()] == list(box.slots())
-
-
 def test_placement_accepts_array_and_tuple_forms_identically():
     space = SlotSpace(Torus3D((2, 2, 2)), 2)
     grid = ProcessGrid(4, 4)
-    p_tuple = ObliviousMapping().place(grid, space)
-    arr = np.asarray(p_tuple.slots, dtype=np.int64)
-    p_array = Placement(space=space, grid=grid, slots=arr, name="oblivious")
-    assert p_array.slots == p_tuple.slots
-    assert np.array_equal(p_array.slots_array(), p_tuple.slots_array())
+    p_array = ObliviousMapping().place(grid, space)
+    slots = tuple(map(tuple, p_array.slots.tolist()))
+    p_tuple = Placement(space=space, grid=grid, slots=slots, name="oblivious")
+    assert p_tuple.slots.dtype == np.int64 and p_tuple.slots.shape == (16, 3)
+    assert np.array_equal(p_tuple.slots, p_array.slots)
+    assert p_tuple.vector.digest == p_array.vector.digest
 
 
 def _slots_as(form, slots):

@@ -24,7 +24,12 @@ from repro.core.scheduler.strategies import SequentialStrategy
 from repro.exec.cache import BoundedCache, clear_caches, set_cache_policy
 from repro.exec.placementcache import _PLACEMENT_CACHE, cached_placement
 from repro.exec.plancache import _PLAN_CACHE, sequential_plan
-from repro.netsim.engine import _ROUTE_CACHE, VECTOR, route_exchange_streamed
+from repro.netsim.engine import (
+    _ROUTE_CACHE,
+    VECTOR,
+    PlacementVector,
+    route_exchange_streamed,
+)
 from repro.obs.metrics import registry
 from repro.runtime.halo import HaloBatch
 from repro.runtime.process_grid import ProcessGrid
@@ -42,7 +47,7 @@ _PLAN_GRID = ProcessGrid(16, 16)
 _PLACE_GRID = ProcessGrid(8, 4)
 _SPACE = SlotSpace(Torus3D((4, 4, 2)), 1)
 _TORUS = Torus3D((4, 4, 4))
-_NODES = np.array([(0, 0, 0), (2, 2, 2)], dtype=np.int64)
+_NODES = PlacementVector(_TORUS, np.array([(0, 0, 0), (2, 2, 2)], dtype=np.int64))
 _MSGS = HaloBatch(
     src=np.array([0], dtype=np.int64),
     dst=np.array([1], dtype=np.int64),

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.multilevel import MultiLevelMapping
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.core.mapping.partition_map import PartitionMapping
+from repro.core.scheduler.strategies import ParallelSiblingsStrategy
 from repro.exec.placementcache import (
+    _placement_nbytes,
     cached_placement,
     placement_cache_stats,
     reset_placement_cache,
 )
+from repro.netsim.budget import placement_cache_budget_bytes
+from repro.netsim.engine import PlacementVector
 from repro.obs.metrics import registry
+from repro.perfsim.simulate import simulate_iteration
 from repro.runtime.process_grid import GridRect, ProcessGrid
+from repro.topology.machines import BLUE_GENE_L, BLUE_GENE_P
 from repro.topology.torus import Torus3D
 
 
@@ -33,12 +40,64 @@ def test_cached_placement_equals_uncached():
     grid = ProcessGrid(8, 4)
     space = _space()
     rects = [GridRect(0, 0, 4, 4), GridRect(4, 0, 4, 4)]
-    assert cached_placement(PartitionMapping(), grid, space, rects) == (
-        PartitionMapping().place(grid, space, rects)
+    for mapping, r in ((PartitionMapping(), rects), (ObliviousMapping(), None)):
+        cached = cached_placement(mapping, grid, space, r)
+        fresh = mapping.place(grid, space, r)
+        assert cached.name == fresh.name
+        assert np.array_equal(cached.slots, fresh.slots)
+        assert cached.vector.digest == fresh.vector.digest
+
+
+def test_placement_slots_are_read_only():
+    placement = cached_placement(ObliviousMapping(), ProcessGrid(8, 4), _space())
+    with pytest.raises(ValueError):
+        placement.slots[0, 0] = 1
+    with pytest.raises(ValueError):
+        placement.vector.coords[0, 0] = 1
+    with pytest.raises(ValueError):
+        placement.vector.node_ranks[0] = 1
+
+
+def test_warm_simulate_iteration_builds_no_placement_vector(
+    monkeypatch, pacific, table2_siblings
+):
+    """A warm iteration reuses the vector its cached placement built."""
+    plan = ParallelSiblingsStrategy().plan(
+        ProcessGrid(32, 32), pacific, table2_siblings,
+        ratios=[s.points for s in table2_siblings],
     )
-    assert cached_placement(ObliviousMapping(), grid, space) == (
-        ObliviousMapping().place(grid, space)
+    cold = simulate_iteration(plan, BLUE_GENE_L, mapping=MultiLevelMapping())
+    built = []
+    real_init = PlacementVector.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlacementVector, "__init__", spy)
+    warm = simulate_iteration(plan, BLUE_GENE_L, mapping=MultiLevelMapping())
+    assert built == []
+    assert warm == cold
+    assert placement_cache_stats().hits == 1
+
+
+def test_131k_placement_fits_the_smallest_budget(monkeypatch):
+    """A 131,072-rank BG/P placement is charged its arrays (slots, nodes,
+    node ranks: 7 MiB), so the 8 MiB placement budget of
+    ``REPRO_NETSIM_MEM_MB=64`` keeps it."""
+    monkeypatch.setenv("REPRO_NETSIM_MEM_MB", "64")
+    ranks = 131072
+    space = SlotSpace(
+        BLUE_GENE_P.torus_for_ranks(ranks), BLUE_GENE_P.mode().ranks_per_node
     )
+    grid = ProcessGrid(256, 512)
+    placement = cached_placement(ObliviousMapping(), grid, space)
+    charge = _placement_nbytes(placement)
+    assert charge == (3 + 3 + 1) * 8 * ranks == 7 * 2**20
+    assert charge < placement_cache_budget_bytes() == 8 * 2**20
+    assert cached_placement(ObliviousMapping(), grid, space) is placement
+    stats = placement_cache_stats()
+    assert (stats.hits, stats.entries, stats.resident_bytes) == (1, 1, charge)
 
 
 def test_repeat_lookups_hit_and_share_the_object():
@@ -84,8 +143,6 @@ def test_byte_budget_evicts_lru_first(monkeypatch):
     grid = ProcessGrid(4, 2)
     space = _space((2, 2, 2), 1)
     a = cached_placement(ObliviousMapping(), grid, space)
-    from repro.exec.placementcache import _placement_nbytes
-
     one = _placement_nbytes(a)
     # The placement budget is an eighth of the overall netsim budget;
     # size that so the cache fits exactly two placements of this size.

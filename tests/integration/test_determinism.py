@@ -5,6 +5,7 @@ are generated offline and reused across runs), so every stage of the
 pipeline must be deterministic.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments.common import fitted_model
@@ -45,7 +46,7 @@ class TestPipelineDeterminism:
         for M in (PartitionMapping, MultiLevelMapping):
             a = M().place(grid, space, list(plan.rects))
             b = M().place(grid, space, list(plan.rects))
-            assert a.slots == b.slots
+            assert np.array_equal(a.slots, b.slots)
 
     def test_simulation_identical(self, config):
         grid = ProcessGrid(32, 32)

@@ -7,7 +7,6 @@ from repro.netsim.engine import (
     LINKS_PER_NODE,
     VECTOR,
     PlacementVector,
-    as_placement,
     link_id_of,
     link_of_id,
     reset_route_cache,
@@ -23,9 +22,11 @@ def batch(*messages):
     return HaloBatch(src=cols[0], dst=cols[1], nbytes=cols[2])
 
 
-def nodes(*coords):
-    """An ``(N, 3)`` node array, as ``Placement.nodes_array`` returns."""
-    return np.asarray(coords, dtype=np.int64).reshape(len(coords), 3)
+def vector(torus, *coords):
+    """The engine's placement form of per-rank node coordinates."""
+    return PlacementVector(
+        torus, np.asarray(coords, dtype=np.int64).reshape(len(coords), 3)
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -57,24 +58,23 @@ class TestLinkIds:
 
 
 class TestPlacementVector:
-    def test_wraps_once(self):
+    def test_node_ranks(self):
         torus = Torus3D((2, 2, 2))
-        pv = as_placement(torus, nodes((0, 0, 0), (1, 1, 1)))
-        assert as_placement(torus, pv) is pv
+        pv = vector(torus, (0, 0, 0), (1, 1, 1))
         assert len(pv) == 2
         assert pv.node_ranks.tolist() == [0, 7]
 
     def test_digest_distinguishes_placements(self):
         torus = Torus3D((2, 2, 2))
-        a = PlacementVector(torus, nodes((0, 0, 0), (1, 0, 0)))
-        b = PlacementVector(torus, nodes((1, 0, 0), (0, 0, 0)))
+        a = vector(torus, (0, 0, 0), (1, 0, 0))
+        b = vector(torus, (1, 0, 0), (0, 0, 0))
         assert a.digest != b.digest
 
 
 class TestLinkLoadVector:
     def test_mirrors_scalar_api(self):
         torus = Torus3D((4, 1, 1))
-        placed = nodes((0, 0, 0), (2, 0, 0))
+        placed = vector(torus, (0, 0, 0), (2, 0, 0))
         _, loads = VECTOR.route_exchange(torus, placed, batch((0, 1, 7)))
         assert loads.load(Link((0, 0, 0), 0, 1)) == 7
         assert loads.load(Link((3, 0, 0), 0, 1)) == 0
@@ -85,7 +85,7 @@ class TestLinkLoadVector:
 
     def test_merge_accumulates(self):
         torus = Torus3D((4, 1, 1))
-        placed = nodes((0, 0, 0), (1, 0, 0))
+        placed = vector(torus, (0, 0, 0), (1, 0, 0))
         _, loads = VECTOR.route_exchange(torus, placed, batch((0, 1, 5)))
         shared = VECTOR.empty_loads(torus)
         shared.merge(loads)
@@ -98,10 +98,14 @@ class TestLinkLoadVector:
 class TestRouteCache:
     def test_hit_on_identical_exchange(self):
         torus = Torus3D((4, 4, 4))
-        placed = nodes((0, 0, 0), (2, 2, 2))
-        first = VECTOR.route_exchange(torus, placed, batch((0, 1, 100)))
-        # An equal batch built separately hits: the key is the digest.
-        second = VECTOR.route_exchange(torus, placed.copy(), batch((0, 1, 100)))
+        first = VECTOR.route_exchange(
+            torus, vector(torus, (0, 0, 0), (2, 2, 2)), batch((0, 1, 100))
+        )
+        # An equal placement and batch built separately hit: the key is
+        # the digest.
+        second = VECTOR.route_exchange(
+            torus, vector(torus, (0, 0, 0), (2, 2, 2)), batch((0, 1, 100))
+        )
         assert second[0] is first[0]
         assert second[1] is first[1]
         stats = route_cache_stats()
@@ -111,21 +115,21 @@ class TestRouteCache:
     def test_miss_on_different_placement(self):
         torus = Torus3D((4, 4, 4))
         msgs = batch((0, 1, 100))
-        VECTOR.route_exchange(torus, nodes((0, 0, 0), (2, 2, 2)), msgs)
-        VECTOR.route_exchange(torus, nodes((0, 0, 0), (2, 2, 1)), msgs)
+        VECTOR.route_exchange(torus, vector(torus, (0, 0, 0), (2, 2, 2)), msgs)
+        VECTOR.route_exchange(torus, vector(torus, (0, 0, 0), (2, 2, 1)), msgs)
         stats = route_cache_stats()
         assert (stats.hits, stats.misses) == (0, 2)
 
     def test_miss_on_different_bytes(self):
         torus = Torus3D((4, 4, 4))
-        placed = nodes((0, 0, 0), (2, 2, 2))
+        placed = vector(torus, (0, 0, 0), (2, 2, 2))
         VECTOR.route_exchange(torus, placed, batch((0, 1, 100)))
         VECTOR.route_exchange(torus, placed, batch((0, 1, 101)))
         assert route_cache_stats().misses == 2
 
     def test_reset_clears_counters(self):
         torus = Torus3D((2, 2, 2))
-        VECTOR.route_exchange(torus, nodes((0, 0, 0)), batch())
+        VECTOR.route_exchange(torus, vector(torus, (0, 0, 0)), batch())
         reset_route_cache()
         stats = route_cache_stats()
         assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)

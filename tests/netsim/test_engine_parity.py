@@ -5,7 +5,7 @@ loads, ``max_link_bytes``, ``average_hops``, and ``round_time`` — across
 random tori (including size-1 and even rings), random placements
 (including co-located ranks), and random message sets (including
 ``src == dst`` intra-node messages). The engine gets the production
-inputs (a ``HaloBatch`` and an ``(N, 3)`` node array), the reference the
+inputs (a ``HaloBatch`` and a ``PlacementVector``), the reference the
 equivalent message list and coordinate tuples.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.engine import VECTOR
+from repro.netsim.engine import VECTOR, PlacementVector
 from repro.netsim.metrics import traffic_metrics
 from repro.topology.machines import BLUE_GENE_L, BLUE_GENE_P
 from repro.topology.torus import Torus3D
@@ -56,7 +56,9 @@ def exchange_case(draw):
 
 def vector_route(torus, nodes, msgs):
     """The production engine on the production form of the exchange."""
-    placed = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    placed = PlacementVector(
+        torus, np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    )
     return VECTOR.route_exchange(torus, placed, from_messages(msgs))
 
 
@@ -139,6 +141,7 @@ class TestFuzzedScenarioParity:
         from repro.runtime.halo import HaloSpec, halo_batch
         from repro.verify import Scenario
         from repro.verify.reference.halo import halo_messages
+        from repro.verify.reference.mapping import node_tuples
 
         run = Scenario(
             machine="bgp", ranks=64, num_siblings=2, parent_nx=250,
@@ -148,10 +151,10 @@ class TestFuzzedScenarioParity:
         a = run.par_plan.assignments[0]
         shape = (run.grid, a.rect, a.domain.nx, a.domain.ny, HaloSpec())
         routed_s, loads_s = ref.route_messages(
-            torus, run.placement.nodes(), halo_messages(*shape)
+            torus, node_tuples(run.placement), halo_messages(*shape)
         )
         routed_v, loads_v = VECTOR.route_exchange(
-            torus, run.placement.nodes_array(), halo_batch(*shape)
+            torus, run.placement.vector, halo_batch(*shape)
         )
         assert ref.traffic_metrics(routed_s, loads_s) == traffic_metrics(
             routed_v, loads_v

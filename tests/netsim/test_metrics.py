@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.netsim.engine import VECTOR, reset_route_cache
+from repro.netsim.engine import VECTOR, PlacementVector, reset_route_cache
 from repro.netsim.metrics import traffic_metrics
 from repro.topology.torus import Torus3D
 from repro.verify.reference.halo import HaloMessage, from_messages
@@ -10,7 +10,8 @@ from repro.verify.reference.halo import HaloMessage, from_messages
 
 def _route(torus, placement, msgs):
     reset_route_cache()
-    return VECTOR.route_exchange(torus, np.asarray(placement), from_messages(msgs))
+    placed = PlacementVector(torus, np.asarray(placement))
+    return VECTOR.route_exchange(torus, placed, from_messages(msgs))
 
 
 class TestTrafficMetrics:

@@ -8,8 +8,8 @@ of that against random exchanges, plus the overflow guards at the dtype
 boundaries (>2^31 widens, never wraps; >=2^53 raises).
 
 Cases are drawn as coordinate tuples and :class:`HaloMessage` lists (the
-reference simulator's form); the engine gets the same exchange as an
-``(N, 3)`` node array and a ``HaloBatch``.
+reference simulator's form); the engine gets the same exchange as a
+``PlacementVector`` and a ``HaloBatch``.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.netsim.engine import (
     EXACT_BYTES_LIMIT,
     VECTOR,
+    PlacementVector,
     reset_route_cache,
     route_cache_stats,
     route_exchange_streamed,
@@ -32,13 +33,17 @@ from repro.verify.reference.halo import HaloMessage, from_messages
 
 def streamed(torus, nodes, msgs, **kwargs):
     """:func:`route_exchange_streamed` on the production form of a case."""
-    placed = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    placed = PlacementVector(
+        torus, np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    )
     return route_exchange_streamed(torus, placed, from_messages(msgs), **kwargs)
 
 
 def cached_route(torus, nodes, msgs):
     """The cached production route of a case."""
-    placed = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    placed = PlacementVector(
+        torus, np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    )
     return VECTOR.route_exchange(torus, placed, from_messages(msgs))
 
 

@@ -19,7 +19,7 @@ def setup(grid_shape=(8, 8), torus_dims=(4, 4, 4), rpn=1, mapping=None):
     torus = Torus3D(torus_dims)
     space = SlotSpace(torus, rpn)
     placement = (mapping or ObliviousMapping()).place(grid, space)
-    return grid, torus, placement.nodes_array()
+    return grid, torus, placement.vector
 
 
 class TestHaloCommCost:
@@ -69,7 +69,7 @@ class TestConcurrentCommCosts:
         torus = Torus3D((4, 4, 4))
         space = SlotSpace(torus, 1)
         placement = PartitionMapping().place(grid, space, rects)
-        nodes = placement.nodes_array()
+        nodes = placement.vector
         domains = [(200, 200), (200, 200)]
         conc = concurrent_comm_costs(grid, rects, domains, torus, nodes,
                                      BLUE_GENE_L, WL)

@@ -48,7 +48,7 @@ def _cost(est, rounds):
 
 def reference_concurrent_costs(grid, rects, domains, torus, nodes, machine, workload):
     """``concurrent_comm_costs`` composed from the reference simulator."""
-    coords = [tuple(row) for row in nodes.tolist()]
+    coords = [tuple(row) for row in nodes.coords.tolist()]
     per_sibling = []
     shared = ref.LinkLoads()
     for rect, (nx, ny) in zip(rects, domains):
@@ -82,7 +82,7 @@ def setup(grid_shape=(8, 8), torus_dims=(4, 4, 4), rpn=1):
     grid = ProcessGrid(*grid_shape)
     torus = Torus3D(torus_dims)
     placement = ObliviousMapping().place(grid, SlotSpace(torus, rpn))
-    return grid, torus, placement.nodes_array()
+    return grid, torus, placement.vector
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -83,7 +83,7 @@ class TestMappingProperties:
         alloc = partition_grid(grid, weights)
         for M in (ObliviousMapping, PartitionMapping, MultiLevelMapping):
             placement = M().place(grid, space, list(alloc.rects))
-            assert len(set(placement.slots)) == grid.size
+            assert len(set(placement.slot_indices())) == grid.size
             # Every slot maps to a valid node.
             for rank in range(grid.size):
                 node = placement.node_of(rank)

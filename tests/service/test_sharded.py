@@ -51,6 +51,9 @@ WORKLOAD = [
     (None, None, b"[1,2,3]"),  # valid JSON, wrong shape
 ]
 
+#: Good storm replies before the failover test kills a shard.
+KILL_AFTER = 16
+
 
 def run_workload(client):
     """The workload's (status, body) pairs, in order."""
@@ -119,6 +122,9 @@ class TestShardFailure:
                 client.metrics()
 
                 stop = threading.Event()
+                # Set by the storm's KILL_AFTER-th good reply: the kill
+                # lands between two known requests, not after a sleep.
+                kill_now = threading.Event()
                 failures, successes = [], [0]
                 lock = threading.Lock()
 
@@ -134,13 +140,17 @@ class TestShardFailure:
                                 else:
                                     with lock:
                                         successes[0] += 1
+                                        if successes[0] == KILL_AFTER:
+                                            kill_now.set()
                             except Exception as exc:  # noqa: BLE001
                                 failures.append(exc)
 
                 threads = [threading.Thread(target=fire) for _ in range(4)]
                 for t in threads:
                     t.start()
-                time.sleep(0.5)
+                # Bounded: a storm that cannot reach KILL_AFTER is failing,
+                # which the assertions below report once the threads stop.
+                kill_now.wait(timeout=60)
                 victim = svc.supervisor.handles[0]
                 victim.proc.kill()
                 # Keep firing through the crash + restart window.

@@ -139,9 +139,9 @@ def test_sequential_partial_grid_caught(good_run):
 def test_non_bijective_mapping_caught(good_run):
     """Two ranks squeezed onto one slot: the placement is no bijection."""
     placement = copy.copy(good_run.placement)
-    slots = list(placement.slots)
+    slots = placement.slots.copy()
     slots[1] = slots[0]
-    object.__setattr__(placement, "slots", tuple(slots))
+    object.__setattr__(placement, "slots", slots)
     bad = corrupt(good_run, placement=placement)
     with pytest.raises(OracleViolation, match="not injective"):
         get_oracle("mapping-bijectivity")(bad)
@@ -149,9 +149,9 @@ def test_non_bijective_mapping_caught(good_run):
 
 def test_out_of_torus_slot_caught(good_run):
     placement = copy.copy(good_run.placement)
-    slots = list(placement.slots)
+    slots = placement.slots.copy()
     slots[0] = (10_000, 0, 0)
-    object.__setattr__(placement, "slots", tuple(slots))
+    object.__setattr__(placement, "slots", slots)
     bad = corrupt(good_run, placement=placement)
     with pytest.raises(OracleViolation, match="out-of-box"):
         get_oracle("mapping-bijectivity")(bad)
@@ -175,7 +175,7 @@ def test_one_message_halo_divergence_caught(good_run, monkeypatch):
 def test_one_byte_streaming_divergence_caught(good_run, monkeypatch):
     """The streamed path routes one extra byte on one inter-node message."""
     real = oracle_mod.route_exchange_streamed
-    nodes = good_run.placement.nodes_array()
+    nodes = good_run.placement.vector.coords
 
     def one_byte_more(torus, placed, batch, **kwargs):
         crosses = (nodes[batch.src] != nodes[batch.dst]).any(axis=1)
