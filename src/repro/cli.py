@@ -39,11 +39,8 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
+from repro.core.mapping import MAPPINGS
 from repro.core.mapping.base import Mapping
-from repro.core.mapping.multilevel import MultiLevelMapping
-from repro.core.mapping.oblivious import ObliviousMapping
-from repro.core.mapping.partition_map import PartitionMapping
-from repro.core.mapping.txyz import TxyzMapping
 from repro.core.scheduler.strategies import ParallelSiblingsStrategy, SequentialStrategy
 from repro.errors import ConfigurationError, ReproError
 from repro.iosim.model import IoModel
@@ -52,19 +49,11 @@ from repro.perfsim.simulate import simulate_iteration
 from repro.perfsim.timeline import build_timeline, render_gantt
 from repro.runtime.decomposition import choose_process_grid
 from repro.runtime.process_grid import ProcessGrid
-from repro.topology.machines import BLUE_GENE_L, BLUE_GENE_P, Machine
+from repro.topology.machines import MACHINES
 from repro.wrf.grid import DomainSpec
 from repro.wrf.namelist import domains_from_namelist, parse_namelist
 
 __all__ = ["main"]
-
-_MACHINES = {"bgl": BLUE_GENE_L, "bgp": BLUE_GENE_P}
-_MAPPINGS = {
-    "oblivious": ObliviousMapping,
-    "txyz": TxyzMapping,
-    "partition": PartitionMapping,
-    "multilevel": MultiLevelMapping,
-}
 
 _EXPERIMENTS = {
     "fig2": ("fig2_scaling", {}),
@@ -161,11 +150,11 @@ def _add_domain_source(p: argparse.ArgumentParser) -> None:
 
 def _cmd_simulate(args) -> int:
     parent, nests = _load_domains(args)
-    machine = _MACHINES[args.machine]
+    machine = MACHINES[args.machine]
     grid = _grid_for(args.ranks)
     io = None if args.io == "none" else IoModel(args.io)
     mapping: Optional[Mapping] = (
-        None if args.mapping == "oblivious" else _MAPPINGS[args.mapping]()
+        None if args.mapping == "oblivious" else MAPPINGS[args.mapping]()
     )
 
     seq_plan = SequentialStrategy().plan(grid, parent, nests)
@@ -206,7 +195,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    machine = _MACHINES[args.machine]
+    machine = MACHINES[args.machine]
     spec = DomainSpec("query", nx=args.nx, ny=args.ny, dx_km=8.0,
                       parent="cli", parent_start=(0, 0), level=1)
     grid = _grid_for(args.ranks)
@@ -250,7 +239,7 @@ def _cmd_recommend(args) -> int:
     io = None if args.io == "none" else IoModel(args.io)
     plan = recommend(
         config,
-        _MACHINES[args.machine],
+        MACHINES[args.machine],
         max_ranks=args.max_ranks,
         min_ranks=args.min_ranks,
         efficiency_floor=args.efficiency_floor,
@@ -369,22 +358,17 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service import PlanningServer, ServicePolicy, ServiceState
+    from repro.service import PlanningServer, ServiceState
 
-    if args.cache_ttl is not None and args.cache_ttl <= 0:
-        raise ConfigurationError(
-            f"--cache-ttl must be > 0 seconds, got {args.cache_ttl}"
-        )
     if args.shards < 0:
         raise ConfigurationError(f"--shards must be >= 0, got {args.shards}")
     if args.pool_size < 1:
         raise ConfigurationError(
             f"--pool-size must be >= 1, got {args.pool_size}"
         )
-    policy = ServicePolicy(cache_ttl_s=args.cache_ttl)
     if args.shards > 0:
-        return _serve_sharded(args, policy)
-    state = ServiceState(policy)
+        return _serve_sharded(args)
+    state = ServiceState()
     server = PlanningServer(state, host=args.host, port=args.port)
     if args.warm:
         summary = state.warm_start()
@@ -407,14 +391,13 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _serve_sharded(args, policy) -> int:
+def _serve_sharded(args) -> int:
     from repro.service import ShardedPlanningService
 
     service = ShardedPlanningService(
         args.shards,
         host=args.host,
         port=args.port,
-        policy=policy,
         warm=args.warm,
         pool_size=args.pool_size,
     )
@@ -550,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="price one iteration under both strategies")
     _add_domain_source(p)
     p.add_argument("--ranks", type=int, default=1024)
-    p.add_argument("--machine", choices=sorted(_MACHINES), default="bgl")
-    p.add_argument("--mapping", choices=sorted(_MAPPINGS), default="oblivious")
+    p.add_argument("--machine", choices=sorted(MACHINES), default="bgl")
+    p.add_argument("--mapping", choices=sorted(MAPPINGS), default="oblivious")
     p.add_argument("--io", choices=["none", "pnetcdf", "split"], default="none")
     p.add_argument("--timeline", action="store_true",
                    help="print per-group Gantt charts")
@@ -567,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, required=True)
     p.add_argument("--ny", type=int, required=True)
     p.add_argument("--ranks", type=int, default=512)
-    p.add_argument("--machine", choices=sorted(_MACHINES), default="bgl")
+    p.add_argument("--machine", choices=sorted(MACHINES), default="bgl")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("experiment", help="run a paper table/figure driver")
@@ -579,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend",
                        help="sweep scales/strategies and recommend a setup")
     _add_domain_source(p)
-    p.add_argument("--machine", choices=sorted(_MACHINES), default="bgl")
+    p.add_argument("--machine", choices=sorted(MACHINES), default="bgl")
     p.add_argument("--min-ranks", type=int, default=64, dest="min_ranks")
     p.add_argument("--max-ranks", type=int, default=1024, dest="max_ranks")
     p.add_argument("--efficiency-floor", type=float, default=0.5,
@@ -634,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind port; 0 picks an ephemeral port (default: 8023)")
     p.add_argument("--no-warm", dest="warm", action="store_false",
                    help="skip warm-start preloading of the paper configs")
-    p.add_argument("--cache-ttl", type=float, default=None, metavar="SECONDS",
-                   dest="cache_ttl",
-                   help="TTL for the shared plan/placement/route caches "
-                        "(default: entries live until byte-budget eviction)")
     p.add_argument("--shards", type=int, default=0, metavar="N",
                    help="run N shard processes behind a consistent-hash "
                         "router (0 = single in-process server; default: 0)")

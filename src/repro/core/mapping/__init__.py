@@ -32,6 +32,13 @@ from repro.core.mapping.metrics import (
     evaluate_mapping,
 )
 
+#: Every mapping class by its :attr:`Mapping.name`, in the order the
+#: fuzzer draws them.
+MAPPINGS = {
+    cls.name: cls
+    for cls in (ObliviousMapping, TxyzMapping, PartitionMapping, MultiLevelMapping)
+}
+
 __all__ = [
     "Mapping",
     "Placement",
@@ -41,6 +48,7 @@ __all__ = [
     "TxyzMapping",
     "PartitionMapping",
     "MultiLevelMapping",
+    "MAPPINGS",
     "MappingMetrics",
     "average_hops",
     "hop_bytes",

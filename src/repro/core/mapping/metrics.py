@@ -45,10 +45,14 @@ class MappingMetrics:
 
 
 def _hops_of(placement: Placement, messages: HaloBatch) -> np.ndarray:
-    """Torus hop distance of every message, broadcast over the node array."""
+    """Torus hop distance of every message, broadcast over the node array.
+
+    Node coordinates lie in the torus, so ``|a - b| < dim`` and the wrap
+    needs no modulo.
+    """
     nodes = placement.vector.coords
     dims = np.asarray(placement.space.torus.dims, dtype=np.int64)
-    d = np.abs(nodes[messages.src] - nodes[messages.dst]) % dims
+    d = np.abs(nodes[messages.src] - nodes[messages.dst])
     return np.minimum(d, dims - d).sum(axis=1)
 
 

@@ -138,17 +138,22 @@ class PartitionMapping(Mapping):
     @staticmethod
     def _fill_score_array(fill: np.ndarray, space: SlotSpace) -> float:
         """Mean torus hops over the internal 4-neighbour pairs of an
-        ``(h, w, 3)`` fill (lower = better)."""
+        ``(h, w, 3)`` fill (lower = better).
+
+        Fill slots lie in the slot box, so their nodes lie in the torus
+        and every coordinate difference is already below its dimension:
+        the wrap needs no modulo.
+        """
         nodes = fill.copy()
         nodes[..., 2] //= space.ranks_per_node
         dims = np.asarray(space.torus.dims, dtype=np.int64)
         h, w = fill.shape[:2]
         total = 0
         if w > 1:
-            d = np.abs(nodes[:, :-1] - nodes[:, 1:]) % dims
+            d = np.abs(nodes[:, :-1] - nodes[:, 1:])
             total += int(np.minimum(d, dims - d).sum())
         if h > 1:
-            d = np.abs(nodes[:-1, :] - nodes[1:, :]) % dims
+            d = np.abs(nodes[:-1, :] - nodes[1:, :])
             total += int(np.minimum(d, dims - d).sum())
         count = h * (w - 1) + w * (h - 1)
         return total / count if count else 0.0

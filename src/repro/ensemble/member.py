@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.mapping.oblivious import ObliviousMapping
@@ -37,7 +37,7 @@ from repro.perfsim.simulate import simulate_iteration
 from repro.runtime.decomposition import choose_process_grid
 from repro.runtime.process_grid import ProcessGrid
 from repro.steering.driver import SteeredRun
-from repro.topology.machines import BLUE_GENE_L, BLUE_GENE_P
+from repro.topology.machines import MACHINES
 from repro.util.rng import make_rng
 from repro.wrf.fields import ModelState
 from repro.wrf.grid import DomainSpec
@@ -57,7 +57,6 @@ __all__ = [
     "EnsembleMember",
 ]
 
-_MACHINES = {"bgl": BLUE_GENE_L, "bgp": BLUE_GENE_P}
 _MAPPINGS = {"oblivious": ObliviousMapping, "txyz": TxyzMapping}
 
 
@@ -76,10 +75,10 @@ class EnsemblePolicy:
     memo_slots: int = 8192
 
     def validate(self) -> None:
-        if self.machine not in _MACHINES:
+        if self.machine not in MACHINES:
             raise ConfigurationError(
                 f"unknown machine {self.machine!r} "
-                f"(choose from {sorted(_MACHINES)})"
+                f"(choose from {sorted(MACHINES)})"
             )
         if self.mapping not in _MAPPINGS:
             raise ConfigurationError(
@@ -100,7 +99,7 @@ class PricingContext:
     def __init__(self, policy: EnsemblePolicy):
         policy.validate()
         self.policy = policy
-        self.machine = _MACHINES[policy.machine]
+        self.machine = MACHINES[policy.machine]
         self.grid = ProcessGrid(*choose_process_grid(policy.ranks))
         self.mapping = _MAPPINGS[policy.mapping]()
         self.mode = policy.mode

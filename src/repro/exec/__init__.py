@@ -6,7 +6,7 @@ with local cores without changing a single result:
 * :mod:`repro.exec.pool` — :class:`SweepRunner`, the process-pool fan-out
   with order-preserving results and deterministic metric merging;
 * :mod:`repro.exec.cache` — :class:`BoundedCache`, the one locked,
-  bounded LRU (with TTL and registry-mirrored counters) behind the plan,
+  bounded LRU (with registry-mirrored counters) behind the plan,
   placement and route caches;
 * :mod:`repro.exec.plancache` — memoized execution plans keyed by
   ``(grid dims, sibling signature, ratios digest)``;
@@ -23,7 +23,7 @@ scales with the configured memory, not the rank count. See
 use workers.
 """
 
-from repro.exec.cache import BoundedCache, CacheStats, clear_caches, set_cache_policy
+from repro.exec.cache import BoundedCache, CacheStats, clear_caches
 from repro.exec.placementcache import (
     cached_placement,
     placement_cache_stats,
@@ -49,7 +49,6 @@ __all__ = [
     "BoundedCache",
     "CacheStats",
     "clear_caches",
-    "set_cache_policy",
     "sequential_plan",
     "parallel_plan",
     "plan_cache_stats",

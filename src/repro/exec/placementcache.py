@@ -22,8 +22,8 @@ grow with the rank count. The budget comes from
 :func:`repro.netsim.budget.placement_cache_budget_bytes` (an eighth
 of ``REPRO_NETSIM_MEM_MB``). The cache is one
 :class:`~repro.exec.cache.BoundedCache` (``exec.placement_cache``):
-eviction, TTL, locking, counters and their registry mirror are
-documented there.
+eviction, locking, counters and their registry mirror are documented
+there.
 """
 
 from __future__ import annotations

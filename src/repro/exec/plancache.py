@@ -17,7 +17,7 @@ tuple, ``None`` for the sequential strategy. Cached plans are frozen
 dataclasses, shared rather than copied.
 
 The cache is one :class:`~repro.exec.cache.BoundedCache`
-(``exec.plan_cache``, up to 1024 plans, no byte budget): locking, TTL,
+(``exec.plan_cache``, up to 1024 plans, no byte budget): locking,
 counters and their registry mirror are documented there.
 """
 

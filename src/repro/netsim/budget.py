@@ -42,9 +42,10 @@ __all__ = [
 ]
 
 #: Default overall working-set budget when ``REPRO_NETSIM_MEM_MB`` is
-#: unset. Large enough that every paper-sized (<=8k rank) exchange takes
-#: the one-shot path, so default results and performance are
-#: unchanged; 131k-rank exchanges stream.
+#: unset: a one-shot limit of 2,796,202 hops. Every paper-sized (<=8k
+#: rank) exchange takes the one-shot path, and so does a 131,072-rank
+#: BG/P halo exchange (at most 607,744 pair hops on the 32x32x32 torus).
+#: Those stream only under a smaller budget: 64 MB allows 349,525 hops.
 DEFAULT_MEM_MB = 512.0
 
 #: Transient bytes per flat hop of the one-shot route expansion: the

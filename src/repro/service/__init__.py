@@ -7,11 +7,12 @@ instead of a CLI invocation per question:
 * :mod:`repro.service.schemas` — versioned frozen-dataclass
   request/response schemas with strict canonical-JSON (de)serialization;
 * :mod:`repro.service.state` — the shared cross-request state: the
-  plan/placement/route caches under TTL + byte-budget policies,
+  plan/placement/route caches under their entry and byte bounds,
   request coalescing, and warm-start preloading from paper configs;
 * :mod:`repro.service.app` — the zero-dependency HTTP server
   (``POST /recommend``, ``POST /simulate``, ``POST /plan``,
-  ``POST /verify``, ``GET /healthz``, ``GET /metrics``);
+  ``POST /verify``, ``GET /healthz``, ``GET /metrics``) and the HTTP
+  edge it shares with the router;
 * :mod:`repro.service.client` — a stdlib keep-alive client with a
   bounded per-host connection pool, for tests and the
   ``benchmarks/bench_service.py`` load harness;
@@ -24,7 +25,7 @@ instead of a CLI invocation per question:
 
 ``repro serve`` on the command line runs it (``--shards N`` for the
 sharded deployment); see ``docs/service.md`` for endpoint schemas,
-cache-policy knobs, sharding semantics, and the load-test howto.
+cache bounds, sharding semantics, and the load-test howto.
 """
 
 from repro.service.app import MAX_BODY_BYTES, PlanningHTTPServer, PlanningServer
@@ -58,7 +59,7 @@ from repro.service.schemas import (
     to_payload,
 )
 from repro.service.shard import NoLiveShardError, ShardSupervisor
-from repro.service.state import ServicePolicy, ServiceState
+from repro.service.state import ServiceState
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -74,7 +75,6 @@ __all__ = [
     "ServiceConnectionError",
     "ServiceReply",
     "PoolStats",
-    "ServicePolicy",
     "ServiceState",
     "SchemaError",
     "parse_payload",

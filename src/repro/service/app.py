@@ -29,6 +29,9 @@ histograms and counted into ``service.*`` counters, with a
 Errors are structured: malformed payloads yield ``400`` with a stable
 kebab-case code (:class:`ErrorResponse`), never a traceback; unexpected
 failures yield ``500 internal-error`` with the exception message only.
+Framing, routing, error bodies and the response write live in one
+handler base that the sharded router (:mod:`repro.service.router`)
+subclasses too, so both answer malformed requests with the same bytes.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from repro.service.schemas import (
     dump_bytes,
     parse_payload,
 )
-from repro.service.state import LATENCY_BOUNDS, ServicePolicy, ServiceState
+from repro.service.state import LATENCY_BOUNDS, ServiceState
 
 __all__ = ["PlanningServer", "PlanningHTTPServer", "MAX_BODY_BYTES"]
 
@@ -62,18 +65,157 @@ MAX_BODY_BYTES = 1 << 20
 
 _CONTENT_TYPE = "application/json"
 
+#: What a route returns: status, body bytes and extra response headers.
+_Reply = Tuple[int, bytes, Dict[str, str]]
 
-class _ServiceError(Exception):
-    """Internal: carries an HTTP status + stable error code to the edge."""
 
-    def __init__(self, status: int, code: str, message: str):
+class _HttpError(Exception):
+    """Internal: carries an HTTP status + stable error code to the edge.
+
+    ``close`` drops the connection after the reply, for a request whose
+    body was not read in full.
+    """
+
+    def __init__(
+        self, status: int, code: str, message: str, *, close: bool = False
+    ):
         super().__init__(message)
         self.status = status
         self.code = code
+        self.close = close
 
 
 def _error_body(code: str, message: str) -> bytes:
     return dump_bytes(ErrorResponse(error=code, message=message))
+
+
+class _EdgeHandler(BaseHTTPRequestHandler):
+    """The HTTP edge of the planning server and of the sharded router.
+
+    It owns body framing, the ``(method, path)`` route table with its
+    404/405, the mapping from exceptions to error bodies and the
+    response write, so both front doors answer every malformed request
+    with the same bytes. A subclass supplies :attr:`routes`, its span
+    and access-log names, and :meth:`_account`.
+    """
+
+    protocol_version = "HTTP/1.1"
+    # The response goes out as two segments (header block, then body).
+    # With Nagle on, the body segment waits for the client's delayed
+    # ACK on long-lived keep-alive connections — a flat ~40ms stall on
+    # every pooled request. Fresh connections dodge it only because
+    # Linux starts them in quickack mode, which is why the bug hides
+    # from connection-per-request clients.
+    disable_nagle_algorithm = True
+
+    #: ``(method, path)`` -> the handler function answering it.
+    routes: Dict[Tuple[str, str], Callable[[Any], _Reply]]
+    #: The span every request runs under when tracing is enabled.
+    span_name: str
+    #: The trace event that access-log lines become.
+    access_log_event: str
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("POST")
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """Access logs go to the tracer (if enabled), never to stderr."""
+        tr = tracer()
+        if tr.enabled:
+            tr.event(self.access_log_event, {"line": format % args})
+
+    @property
+    def route_path(self) -> str:
+        """The request path without its query string."""
+        return self.path.split("?", 1)[0]
+
+    # ------------------------------------------------------------------
+    def _dispatch(self, method: str) -> None:
+        path = self.route_path
+        endpoint = path.strip("/").replace("/", ".") or "root"
+        t0 = time.perf_counter()
+        tr = tracer()
+        with tr.span(
+            self.span_name,
+            {"method": method, "path": path} if tr.enabled else None,
+        ):
+            try:
+                handler = self.routes.get((method, path))
+                if handler is None:
+                    # A body left unread would be parsed as the next
+                    # request on this keep-alive connection.
+                    close = "Content-Length" in self.headers
+                    if any(p == path for (_, p) in self.routes):
+                        raise _HttpError(
+                            405, "method-not-allowed",
+                            f"{method} not supported on {path}", close=close,
+                        )
+                    raise _HttpError(
+                        404, "not-found", f"no route for {path}", close=close
+                    )
+                status, body, extra = handler(self)
+            except _HttpError as exc:
+                status, body, extra = exc.status, _error_body(exc.code, str(exc)), {}
+                if exc.close:
+                    self.close_connection = True
+            except SchemaError as exc:
+                status, body, extra = 400, _error_body(exc.code, str(exc)), {}
+            except ReproError as exc:
+                status, body, extra = 400, _error_body("invalid-request", str(exc)), {}
+            except Exception as exc:  # noqa: BLE001 - edge of the service
+                status, body, extra = 500, _error_body("internal-error", str(exc)), {}
+        self._account(endpoint, status, body, time.perf_counter() - t0)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", _CONTENT_TYPE)
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in extra.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
+            pass  # client went away mid-response; nothing to salvage
+
+    def _account(
+        self, endpoint: str, status: int, body: bytes, elapsed_s: float
+    ) -> None:
+        """Count one answered request into the subclass's instruments."""
+        raise NotImplementedError
+
+    def _read_body(self) -> bytes:
+        """The POST body, framed by its ``Content-Length``."""
+        length_header = self.headers.get("Content-Length")
+        if length_header is None:
+            # A body framed any other way (chunked) stays unread.
+            raise _HttpError(
+                411, "length-required", "Content-Length required", close=True
+            )
+        try:
+            length = int(length_header)
+        except ValueError:
+            raise _HttpError(
+                400, "invalid-length", f"bad Content-Length {length_header!r}",
+                close=True,
+            ) from None
+        if length > MAX_BODY_BYTES:
+            # Drain (bounded) so the client can finish sending and read
+            # the 413 instead of dying on a broken pipe; then drop the
+            # connection rather than resync a half-read stream.
+            remaining = min(length, 8 * MAX_BODY_BYTES)
+            while remaining > 0:
+                chunk = self.rfile.read(min(remaining, 65536))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
+            raise _HttpError(
+                413, "payload-too-large",
+                f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
+                close=True,
+            )
+        return self.rfile.read(length)
 
 
 class PlanningHTTPServer(ThreadingHTTPServer):
@@ -89,93 +231,24 @@ class PlanningHTTPServer(ThreadingHTTPServer):
         self.state = state
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(_EdgeHandler):
     server_version = "repro-planner/1"
-    protocol_version = "HTTP/1.1"
-    # The response goes out as two segments (header block, then body).
-    # With Nagle on, the body segment waits for the client's delayed
-    # ACK on long-lived keep-alive connections — a flat ~40ms stall on
-    # every pooled request. Fresh connections dodge it only because
-    # Linux starts them in quickack mode, which is why the bug hides
-    # from connection-per-request clients.
-    disable_nagle_algorithm = True
+    span_name = "service.request"
+    access_log_event = "service.access_log"
 
-    # Routes: (method, path) -> unbound handler returning
-    # (status, body_bytes, extra_headers).
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Access logs go to the tracer (if enabled), never to stderr."""
-        tr = tracer()
-        if tr.enabled:
-            tr.event("service.access_log", {"line": format % args})
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, method: str) -> None:
-        state: ServiceState = self.server.state
-        path = self.path.split("?", 1)[0]
-        endpoint = path.strip("/").replace("/", ".") or "root"
-        routes: Dict[Tuple[str, str], Callable[[ServiceState], Tuple[int, bytes, Dict[str, str]]]] = {
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/metrics"): self._handle_metrics,
-            ("POST", "/plan"): self._handle_plan,
-            ("POST", "/recommend"): self._handle_recommend,
-            ("POST", "/simulate"): self._handle_simulate,
-            ("POST", "/verify"): self._handle_verify,
-        }
-        t0 = time.perf_counter()
-        tr = tracer()
-        with tr.span(
-            "service.request",
-            {"method": method, "path": path} if tr.enabled else None,
-        ):
-            try:
-                handler = routes.get((method, path))
-                if handler is None:
-                    if any(p == path for (_, p) in routes):
-                        raise _ServiceError(
-                            405, "method-not-allowed",
-                            f"{method} not supported on {path}",
-                        )
-                    raise _ServiceError(404, "not-found", f"no route for {path}")
-                status, body, extra = handler(state)
-            except _ServiceError as exc:
-                status, body, extra = exc.status, _error_body(exc.code, str(exc)), {}
-            except SchemaError as exc:
-                status, body, extra = 400, _error_body(exc.code, str(exc)), {}
-            except ReproError as exc:
-                status, body, extra = 400, _error_body("invalid-request", str(exc)), {}
-            except Exception as exc:  # noqa: BLE001 - edge of the service
-                status, body, extra = 500, _error_body("internal-error", str(exc)), {}
+    def _account(
+        self, endpoint: str, status: int, body: bytes, elapsed_s: float
+    ) -> None:
         # Internal metric scrapes (the sharded router's fan-out and the
         # shard supervisor's monitor) must be invisible to the service's
         # own accounting, or merged counters could never reconcile
         # exactly against per-shard scrapes: snapshotting the registry
         # would perturb the registry being snapshotted.
-        internal_scrape = (
+        if (
             endpoint == "metrics"
             and self.headers.get("X-Repro-Scrape") == "internal"
-        )
-        if not internal_scrape:
-            self._account(endpoint, status, body, time.perf_counter() - t0)
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", _CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in extra.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # client went away mid-response; nothing to salvage
-
-    def _account(
-        self, endpoint: str, status: int, body: bytes, elapsed_s: float
-    ) -> None:
+        ):
+            return
         counter("service.requests").inc()
         counter(f"service.{endpoint}.requests").inc()
         counter(f"service.{endpoint}.response_bytes").inc(len(body))
@@ -187,61 +260,46 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_request(self, cls: type) -> Any:
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            raise _ServiceError(411, "length-required", "Content-Length required")
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise _ServiceError(
-                400, "invalid-length", f"bad Content-Length {length_header!r}"
-            ) from None
-        if length > MAX_BODY_BYTES:
-            # Drain (bounded) so the client can finish sending and read
-            # the 413 instead of dying on a broken pipe; then drop the
-            # connection rather than resync a half-read stream.
-            remaining = min(length, 8 * MAX_BODY_BYTES)
-            while remaining > 0:
-                chunk = self.rfile.read(min(remaining, 65536))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            self.close_connection = True
-            raise _ServiceError(
-                413, "payload-too-large",
-                f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
-            )
-        raw = self.rfile.read(length)
+        raw = self._read_body()
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise _ServiceError(400, "invalid-json", f"bad JSON: {exc}") from None
+            raise _HttpError(400, "invalid-json", f"bad JSON: {exc}") from None
         return parse_payload(cls, payload)
 
-    def _handle_healthz(self, state: ServiceState):
-        return 200, dump_bytes(state.health()), {}
+    def _handle_healthz(self) -> _Reply:
+        return 200, dump_bytes(self.server.state.health()), {}
 
-    def _handle_metrics(self, state: ServiceState):
-        body = canonical_json(state.metrics_payload()).encode("utf-8")
-        return 200, body, {}
+    def _handle_metrics(self) -> _Reply:
+        payload = self.server.state.metrics_payload()
+        return 200, canonical_json(payload).encode("utf-8"), {}
 
-    def _handle_recommend(self, state: ServiceState):
+    def _handle_recommend(self) -> _Reply:
         req = self._read_request(RecommendRequest)
-        response, coalesced = state.recommend(req)
+        response, coalesced = self.server.state.recommend(req)
         headers = {"X-Repro-Coalesced": "1" if coalesced else "0"}
         return 200, dump_bytes(response), headers
 
-    def _handle_plan(self, state: ServiceState):
+    def _handle_plan(self) -> _Reply:
         req = self._read_request(PlanRequest)
-        return 200, dump_bytes(state.plan(req)), {}
+        return 200, dump_bytes(self.server.state.plan(req)), {}
 
-    def _handle_simulate(self, state: ServiceState):
+    def _handle_simulate(self) -> _Reply:
         req = self._read_request(SimulateRequest)
-        return 200, dump_bytes(state.simulate(req)), {}
+        return 200, dump_bytes(self.server.state.simulate(req)), {}
 
-    def _handle_verify(self, state: ServiceState):
+    def _handle_verify(self) -> _Reply:
         req = self._read_request(VerifyRequest)
-        return 200, dump_bytes(state.verify(req)), {}
+        return 200, dump_bytes(self.server.state.verify(req)), {}
+
+    routes = {
+        ("GET", "/healthz"): _handle_healthz,
+        ("GET", "/metrics"): _handle_metrics,
+        ("POST", "/plan"): _handle_plan,
+        ("POST", "/recommend"): _handle_recommend,
+        ("POST", "/simulate"): _handle_simulate,
+        ("POST", "/verify"): _handle_verify,
+    }
 
 
 class PlanningServer:
@@ -261,9 +319,8 @@ class PlanningServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        policy: Optional[ServicePolicy] = None,
     ) -> None:
-        self.state = state or ServiceState(policy)
+        self.state = state or ServiceState()
         self._httpd = PlanningHTTPServer((host, port), self.state)
         self._thread: Optional[threading.Thread] = None
 
@@ -296,7 +353,7 @@ class PlanningServer:
         self._httpd.serve_forever()
 
     def close(self) -> None:
-        """Stop serving, release the socket, detach cache policies."""
+        """Stop serving, release the socket, close the state."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:

@@ -15,7 +15,10 @@ not N copies of the same entries. Since every response body is a pure
 function of the request (the single-process byte-determinism contract),
 routing is invisible in the body: a 4-shard service answers
 byte-identically to a 1-shard one. Operational facts ride in headers
-(``X-Repro-Shard``, plus the shard's own ``X-Repro-Coalesced``).
+(``X-Repro-Shard``, plus the shard's own ``X-Repro-Coalesced``). The
+errors the router answers itself (unknown routes, bad framing) come
+from the handler base it shares with the single-process server
+(:mod:`repro.service.app`), so their bodies match byte for byte too.
 
 Failure semantics: a transport error on a forward marks the shard down,
 bumps ``service.router.failovers``, and retries the request on the next
@@ -35,12 +38,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from http.server import ThreadingHTTPServer
+from typing import Any, Optional, Tuple
 
 from repro.obs.metrics import counter, histogram, labelled, registry
-from repro.obs.trace import tracer
-from repro.service.app import MAX_BODY_BYTES, _error_body
+from repro.service.app import _CONTENT_TYPE, _EdgeHandler, _HttpError, _Reply
 from repro.service.ring import HashRing
 from repro.service.schemas import (
     SCHEMA_VERSION,
@@ -55,13 +57,11 @@ from repro.service.schemas import (
     parse_payload,
 )
 from repro.service.shard import NoLiveShardError, ShardSupervisor
-from repro.service.state import LATENCY_BOUNDS, ServicePolicy
+from repro.service.state import LATENCY_BOUNDS
 
 __all__ = ["ShardedPlanningService", "affinity_key"]
 
-_CONTENT_TYPE = "application/json"
-
-#: Parsed request schema per forwarded path (also the route table).
+#: Parsed request schema per forwarded path.
 _REQUEST_SCHEMA = {
     "/recommend": RecommendRequest,
     "/simulate": SimulateRequest,
@@ -125,73 +125,14 @@ class _RouterHTTPServer(ThreadingHTTPServer):
         self.requests_lock = threading.Lock()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(_EdgeHandler):
     server_version = "repro-router/1"
-    protocol_version = "HTTP/1.1"
-    # Same keep-alive Nagle/delayed-ACK stall as the shard handler: the
-    # relayed body must not wait on the client's delayed ACK.
-    disable_nagle_algorithm = True
+    span_name = "service.router.request"
+    access_log_event = "service.router.access_log"
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def log_message(self, format: str, *args: Any) -> None:
-        tr = tracer()
-        if tr.enabled:
-            tr.event("service.router.access_log", {"line": format % args})
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, method: str) -> None:
-        path = self.path.split("?", 1)[0]
-        endpoint = path.strip("/").replace("/", ".") or "root"
-        t0 = time.perf_counter()
-        extra: Dict[str, str] = {}
-        tr = tracer()
-        with tr.span(
-            "service.router.request",
-            {"method": method, "path": path} if tr.enabled else None,
-        ):
-            try:
-                if method == "GET" and path == "/healthz":
-                    status, body = self._handle_healthz()
-                elif method == "GET" and path == "/metrics":
-                    status, body = self._handle_metrics()
-                elif method == "POST" and path in _REQUEST_SCHEMA:
-                    status, body, extra = self._forward(path)
-                elif path == "/healthz" or path == "/metrics" or path in _REQUEST_SCHEMA:
-                    # Mirror the single-process server's wording so error
-                    # bodies stay byte-identical across shard counts.
-                    status = 405
-                    body = _error_body(
-                        "method-not-allowed", f"{method} not supported on {path}"
-                    )
-                else:
-                    status = 404
-                    body = _error_body("not-found", f"no route for {path}")
-            except _RouterError as exc:
-                status, body = exc.status, _error_body(exc.code, str(exc))
-                if exc.close:
-                    self.close_connection = True
-            except NoLiveShardError as exc:
-                status, body = 503, _error_body("no-live-shard", str(exc))
-            except Exception as exc:  # noqa: BLE001 - edge of the router
-                status, body = 500, _error_body("internal-error", str(exc))
-        self._account(endpoint, status, time.perf_counter() - t0)
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", _CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in extra.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass
-
-    def _account(self, endpoint: str, status: int, elapsed_s: float) -> None:
+    def _account(
+        self, endpoint: str, status: int, body: bytes, elapsed_s: float
+    ) -> None:
         server: _RouterHTTPServer = self.server
         with server.requests_lock:
             server.requests_served += 1
@@ -203,49 +144,22 @@ class _RouterHandler(BaseHTTPRequestHandler):
             counter("service.router.errors").inc()
 
     # ------------------------------------------------------------------
-    def _read_body(self) -> bytes:
-        """Read the POST body, mirroring the shard's edge checks.
-
-        The length checks must happen here (the router cannot forward a
-        request it cannot frame), with the single-process server's exact
-        status codes and messages so the error bodies stay
-        byte-identical at every shard count.
-        """
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            raise _RouterError(411, "length-required", "Content-Length required")
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise _RouterError(
-                400, "invalid-length", f"bad Content-Length {length_header!r}"
-            ) from None
-        if length > MAX_BODY_BYTES:
-            remaining = min(length, 8 * MAX_BODY_BYTES)
-            while remaining > 0:
-                chunk = self.rfile.read(min(remaining, 65536))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            raise _RouterError(
-                413, "payload-too-large",
-                f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
-                close=True,
-            )
-        return self.rfile.read(length)
-
-    def _forward(self, path: str) -> Tuple[int, bytes, Dict[str, str]]:
+    def _forward(self) -> _Reply:
         server: _RouterHTTPServer = self.server
+        path = self.route_path
         body = self._read_body()
         key = affinity_key(path, body)
         preference = server.ring.preference(key)
-        reply, shard_id, failovers = server.supervisor.forward(
-            preference,
-            "POST",
-            path,
-            body,
-            {"Content-Type": _CONTENT_TYPE},
-        )
+        try:
+            reply, shard_id, failovers = server.supervisor.forward(
+                preference,
+                "POST",
+                path,
+                body,
+                {"Content-Type": _CONTENT_TYPE},
+            )
+        except NoLiveShardError as exc:
+            raise _HttpError(503, "no-live-shard", str(exc)) from None
         counter("service.router.forwarded").inc()
         counter(labelled("service.router.shard.requests", shard=shard_id)).inc()
         extra = {"X-Repro-Shard": shard_id}
@@ -257,12 +171,11 @@ class _RouterHandler(BaseHTTPRequestHandler):
         return reply.status, reply.body, extra
 
     # ------------------------------------------------------------------
-    def _handle_healthz(self) -> Tuple[int, bytes]:
+    def _handle_healthz(self) -> _Reply:
         server: _RouterHTTPServer = self.server
-        live = server.supervisor.live_shards()
-        if not live:
-            return 503, _error_body(
-                "no-live-shard", "no shard is currently serving"
+        if not server.supervisor.live_shards():
+            raise _HttpError(
+                503, "no-live-shard", "no shard is currently serving"
             )
         with server.requests_lock:
             served = server.requests_served
@@ -272,9 +185,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
             requests_served=served,
             warmed=server.supervisor.warm,
         )
-        return 200, dump_bytes(payload)
+        return 200, dump_bytes(payload), {}
 
-    def _handle_metrics(self) -> Tuple[int, bytes]:
+    def _handle_metrics(self) -> _Reply:
         """Fan out to every shard and fold the snapshots exactly."""
         server: _RouterHTTPServer = self.server
         aggregate = server.supervisor.aggregate_metrics()
@@ -299,17 +212,16 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 "metrics": registry().snapshot("service.router."),
             },
         }
-        return 200, canonical_json(payload).encode("utf-8")
+        return 200, canonical_json(payload).encode("utf-8"), {}
 
-
-class _RouterError(Exception):
-    """Internal: HTTP status + stable code raised before forwarding."""
-
-    def __init__(self, status: int, code: str, message: str, *, close: bool = False):
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.close = close
+    routes = {
+        ("GET", "/healthz"): _handle_healthz,
+        ("GET", "/metrics"): _handle_metrics,
+        ("POST", "/plan"): _forward,
+        ("POST", "/recommend"): _forward,
+        ("POST", "/simulate"): _forward,
+        ("POST", "/verify"): _forward,
+    }
 
 
 class ShardedPlanningService:
@@ -333,18 +245,15 @@ class ShardedPlanningService:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        policy: Optional[ServicePolicy] = None,
         warm: bool = True,
         warm_max_ranks: int = 256,
         pool_size: int = 8,
         vnodes: Optional[int] = None,
         ready_timeout_s: float = 180.0,
     ) -> None:
-        policy = policy or ServicePolicy()
         self.supervisor = ShardSupervisor(
             shards,
             host="127.0.0.1",
-            cache_ttl_s=policy.cache_ttl_s,
             warm=warm,
             warm_max_ranks=warm_max_ranks,
             pool_size=pool_size,

@@ -30,7 +30,6 @@ shard so its caches stay warm.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -48,7 +47,6 @@ class NoLiveShardError(ReproError):
 def shard_server_main(
     ready_conn,
     host: str,
-    cache_ttl_s: Optional[float],
     warm: bool,
     warm_max_ranks: int,
 ) -> None:
@@ -63,9 +61,9 @@ def shard_server_main(
     # keeping them here keeps the parent's module graph out of the
     # pickled closure.
     from repro.service.app import PlanningServer
-    from repro.service.state import ServicePolicy, ServiceState
+    from repro.service.state import ServiceState
 
-    state = ServiceState(ServicePolicy(cache_ttl_s=cache_ttl_s))
+    state = ServiceState()
     server = PlanningServer(state, host=host, port=0)
     if warm:
         state.warm_start(max_ranks=warm_max_ranks)
@@ -118,7 +116,6 @@ class ShardSupervisor:
         shards: int,
         *,
         host: str = "127.0.0.1",
-        cache_ttl_s: Optional[float] = None,
         warm: bool = True,
         warm_max_ranks: int = 256,
         pool_size: int = 8,
@@ -139,7 +136,7 @@ class ShardSupervisor:
         for slot in range(shards):
             proc = SupervisedProcess(
                 shard_server_main,
-                (host, cache_ttl_s, warm, warm_max_ranks),
+                (host, warm, warm_max_ranks),
                 name=f"planning-shard-{slot}",
                 ready_timeout_s=ready_timeout_s,
             )

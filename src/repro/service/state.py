@@ -4,8 +4,8 @@ One :class:`ServiceState` lives for the whole life of a server process
 and owns everything requests share:
 
 * the **plan / placement / route caches** as cross-request state,
-  governed by a :class:`ServicePolicy` — one lazy per-entry TTL on all
-  three (:func:`repro.exec.cache.set_cache_policy`);
+  bounded by entry count and byte budget
+  (:class:`repro.exec.cache.BoundedCache`);
 * **request coalescing**: identical in-flight ``recommend`` requests
   (keyed by their canonical JSON bytes) share one computation — the
   leader computes, followers block on an event and receive the *same*
@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.core.mapping import MAPPINGS
 from repro.errors import ConfigurationError
-from repro.exec.cache import set_cache_policy
 from repro.exec.placementcache import placement_cache_stats
 from repro.exec.plancache import parallel_plan, plan_cache_stats, sequential_plan
 from repro.iosim.model import IoModel
 from repro.netsim.engine import route_cache_stats
-from repro.obs.metrics import counter, histogram, registry
+from repro.obs.metrics import counter, registry
 from repro.obs.trace import tracer
 from repro.perfsim.simulate import IterationReport, simulate_iteration
 from repro.runtime.decomposition import choose_process_grid
@@ -56,11 +56,10 @@ from repro.service.schemas import (
     VerifyResponse,
     dump_bytes,
 )
-from repro.topology.machines import BLUE_GENE_L, BLUE_GENE_P, Machine
+from repro.topology.machines import MACHINES
 from repro.workloads.regions import Configuration
 
 __all__ = [
-    "ServicePolicy",
     "ServiceState",
     "LATENCY_BOUNDS",
 ]
@@ -70,8 +69,6 @@ LATENCY_BOUNDS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
     5.0, 10.0,
 )
-
-_MACHINES: Dict[str, Machine] = {"bgl": BLUE_GENE_L, "bgp": BLUE_GENE_P}
 
 
 def _builtin_config(name: str) -> Configuration:
@@ -94,25 +91,6 @@ def _builtin_config(name: str) -> Configuration:
         raise ConfigurationError(f"unknown configuration {name!r}") from None
 
 
-def _mapping_instance(name: str):
-    from repro.verify.scenarios import MAPPINGS
-
-    return MAPPINGS[name]()
-
-
-@dataclass(frozen=True)
-class ServicePolicy:
-    """Freshness policy for the shared caches.
-
-    ``cache_ttl_s`` is one lazy per-entry TTL on the plan, placement and
-    route caches; ``None`` disables it (the historical keep-until-evicted
-    behaviour). Byte budgets stay governed by the ``REPRO_NETSIM_MEM_MB``
-    family of knobs (:mod:`repro.netsim.budget`).
-    """
-
-    cache_ttl_s: Optional[float] = None
-
-
 class _InFlight:
     """One leader-computed recommend shared with coalesced followers."""
 
@@ -127,26 +105,19 @@ class _InFlight:
 class ServiceState:
     """Everything the planning service shares across requests."""
 
-    def __init__(
-        self,
-        policy: Optional[ServicePolicy] = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.policy = policy or ServicePolicy()
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._started = clock()
         self._lock = threading.Lock()
         self._inflight: Dict[bytes, _InFlight] = {}
         self.warmed = False
-        set_cache_policy(ttl_s=self.policy.cache_ttl_s)
         self._requests = counter("service.requests")
         self._coalesce_hits = counter("service.coalesce.hits")
         self._coalesce_misses = counter("service.coalesce.misses")
 
     def close(self) -> None:
-        """Detach the state's cache policy (tests, clean shutdown)."""
-        set_cache_policy(ttl_s=None)
+        """Shut the state down. Nothing to release: the caches are
+        process-wide and outlive any one state."""
 
     # --------------------------------------------------------- endpoints
     def recommend(self, req: RecommendRequest) -> Tuple[RecommendResponse, bool]:
@@ -193,11 +164,11 @@ class ServiceState:
         ):
             rec = recommend(
                 _builtin_config(req.config),
-                _MACHINES[req.machine],
+                MACHINES[req.machine],
                 max_ranks=req.max_ranks,
                 min_ranks=req.min_ranks,
                 efficiency_floor=req.efficiency_floor,
-                mapping=_mapping_instance(req.mapping),
+                mapping=MAPPINGS[req.mapping](),
                 io_model=None if req.io == "none" else IoModel(req.io),
                 jobs=1,
             )
@@ -223,7 +194,7 @@ class ServiceState:
     def simulate(self, req: SimulateRequest) -> SimulateResponse:
         """Price one iteration of *req* under both strategies."""
         config = _builtin_config(req.config)
-        machine = _MACHINES[req.machine]
+        machine = MACHINES[req.machine]
         px, py = choose_process_grid(req.ranks)
         grid = ProcessGrid(px, py)
         siblings = list(config.siblings)
@@ -232,7 +203,7 @@ class ServiceState:
             grid, config.parent, siblings, [s.points for s in siblings]
         )
         mapping = (
-            None if req.mapping == "oblivious" else _mapping_instance(req.mapping)
+            None if req.mapping == "oblivious" else MAPPINGS[req.mapping]()
         )
         io_model = None if req.io == "none" else IoModel(req.io)
         seq = simulate_iteration(seq_plan, machine, io_model=io_model)

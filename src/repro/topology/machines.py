@@ -38,6 +38,7 @@ __all__ = [
     "blue_gene_p",
     "BLUE_GENE_L",
     "BLUE_GENE_P",
+    "MACHINES",
     "torus_dims_for_nodes",
 ]
 
@@ -222,3 +223,7 @@ def blue_gene_p() -> Machine:
 #: Shared default instances. These are frozen dataclasses, safe to share.
 BLUE_GENE_L = blue_gene_l()
 BLUE_GENE_P = blue_gene_p()
+
+#: The machines by their short name, as the CLI, the service and the
+#: fuzzer spell them.
+MACHINES: Dict[str, Machine] = {"bgl": BLUE_GENE_L, "bgp": BLUE_GENE_P}

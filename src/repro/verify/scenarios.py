@@ -16,14 +16,11 @@ so a failure report ends in a repro dict a human can paste into
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.mapping import MAPPINGS
 from repro.core.mapping.base import Mapping, Placement, SlotSpace
-from repro.core.mapping.multilevel import MultiLevelMapping
-from repro.core.mapping.oblivious import ObliviousMapping
-from repro.core.mapping.partition_map import PartitionMapping
-from repro.core.mapping.txyz import TxyzMapping
 from repro.core.scheduler.plan import ExecutionPlan
 from repro.errors import ConfigurationError
 from repro.exec.placementcache import cached_placement
@@ -32,21 +29,12 @@ from repro.iosim.model import IoModel
 from repro.perfsim.simulate import IterationReport, simulate_iteration
 from repro.runtime.decomposition import choose_process_grid
 from repro.runtime.process_grid import ProcessGrid
-from repro.topology.machines import BLUE_GENE_L, BLUE_GENE_P, Machine
+from repro.topology.machines import MACHINES, Machine
 from repro.util.rng import SeedLike, make_rng
 from repro.workloads.generator import NestSizeRange, random_parent, random_siblings
 from repro.wrf.grid import DomainSpec
 
-__all__ = ["Scenario", "ScenarioRun", "random_scenario", "MACHINES", "MAPPINGS"]
-
-MACHINES: Dict[str, Machine] = {"bgl": BLUE_GENE_L, "bgp": BLUE_GENE_P}
-
-MAPPINGS: Dict[str, type] = {
-    "oblivious": ObliviousMapping,
-    "txyz": TxyzMapping,
-    "partition": PartitionMapping,
-    "multilevel": MultiLevelMapping,
-}
+__all__ = ["Scenario", "ScenarioRun", "random_scenario"]
 
 #: Rank counts the fuzzer draws from. Powers of two fill whole nodes in
 #: every Blue Gene execution mode; the weight toward small counts keeps a

@@ -2,9 +2,9 @@
 
 Every case runs once per cache — plans, placements and routed exchanges —
 through that cache's real entry point: reset and ``stats()`` hammered
-against concurrent lookups, lazy TTL expiry on an injected clock, LRU
-order under the byte budget, oversize entries, TTL validation, and the
-registry mirror. Key-specific behaviour stays with each cache's own tests.
+against concurrent lookups, LRU order under the byte budget, oversize
+entries, and the registry mirror. Key-specific behaviour stays with each
+cache's own tests.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.core.scheduler.strategies import SequentialStrategy
-from repro.exec.cache import BoundedCache, clear_caches, set_cache_policy
+from repro.exec.cache import BoundedCache, clear_caches
 from repro.exec.placementcache import _PLACEMENT_CACHE, cached_placement
 from repro.exec.plancache import _PLAN_CACHE, sequential_plan
 from repro.netsim.engine import (
@@ -54,7 +54,7 @@ _MSGS = HaloBatch(
     nbytes=np.array([100], dtype=np.int64),
 )
 
-_FIELDS = ("hits", "misses", "evictions", "expired", "resident_bytes")
+_FIELDS = ("hits", "misses", "evictions", "resident_bytes")
 
 
 @dataclass(frozen=True)
@@ -92,22 +92,9 @@ def case(request) -> Case:
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    set_cache_policy(ttl_s=None)
     clear_caches()
     yield
-    set_cache_policy(ttl_s=None)
     clear_caches()
-
-
-class _FakeClock:
-    def __init__(self) -> None:
-        self.now = 50.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
 
 
 def _mirror(cache: BoundedCache) -> dict:
@@ -124,54 +111,6 @@ def _sized(cache: BoundedCache, monkeypatch) -> None:
     """Give the plan cache (no sizeof of its own) a fixed entry size."""
     if cache.sizeof is None:
         monkeypatch.setattr(cache, "sizeof", lambda value: 1000)
-
-
-# ----------------------------------------------------------------------
-# TTL policy
-# ----------------------------------------------------------------------
-class TestTtl:
-    def test_entries_expire_lazily_on_lookup(self, case):
-        clock = _FakeClock()
-        set_cache_policy(ttl_s=10.0, clock=clock)
-        first = case.lookup()
-        assert case.lookup() is first
-        resident = case.cache.stats().resident_bytes
-        clock.advance(10.5)
-        second = case.lookup()
-        assert second is not first  # the stale entry was dropped and rebuilt
-        stats = case.cache.stats()
-        assert (stats.hits, stats.misses, stats.expired) == (1, 2, 1)
-        assert stats.entries == 1
-        # Expired bytes were released, then the rebuilt entry re-added.
-        assert stats.resident_bytes == resident
-
-    def test_entries_survive_within_the_ttl(self, case):
-        clock = _FakeClock()
-        set_cache_policy(ttl_s=10.0, clock=clock)
-        first = case.lookup()
-        clock.advance(9.9)
-        assert case.lookup() is first
-        assert case.cache.stats().expired == 0
-
-    def test_disabling_the_policy_stops_expiry(self, case):
-        clock = _FakeClock()
-        set_cache_policy(ttl_s=10.0, clock=clock)
-        first = case.lookup()
-        set_cache_policy(ttl_s=None, clock=clock)
-        clock.advance(1e6)
-        assert case.lookup() is first
-
-    def test_nonpositive_ttl_rejected(self, case):
-        clock = _FakeClock()
-        set_cache_policy(ttl_s=10.0, clock=clock)
-        for bad in (0.0, -5.0):
-            with pytest.raises(ValueError, match="ttl_s must be > 0"):
-                set_cache_policy(ttl_s=bad)
-        # The rejected calls left the valid policy in force.
-        first = case.lookup()
-        clock.advance(10.5)
-        assert case.lookup() is not first
-        assert case.cache.stats().expired == 1
 
 
 # ----------------------------------------------------------------------
@@ -228,24 +167,18 @@ class TestRegistryMirror:
     def test_mirror_equals_stats_through_every_counter(self, case, monkeypatch):
         registry().reset()
         case.cache.clear()
-        clock = _FakeClock()
-        set_cache_policy(ttl_s=10.0, clock=clock)
         monkeypatch.setattr(case.cache, "maxsize", 1)
         steps = [
             case.lookup,  # miss
             case.lookup,  # hit
             lambda: case.cache.put("other", case.value()),  # evicts the key
             case.lookup,  # miss, evicts "other"
-            lambda: clock.advance(10.5),
-            case.lookup,  # expired
         ]
         for step in steps:
             step()
             assert _mirror(case.cache) == _counts(case.cache)
         stats = case.cache.stats()
-        assert (stats.hits, stats.misses, stats.evictions, stats.expired) == (
-            1, 3, 2, 1,
-        )
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 2, 2)
         case.cache.clear()
         assert _mirror(case.cache) == _counts(case.cache) == dict.fromkeys(_FIELDS, 0)
         stats = case.cache.stats()

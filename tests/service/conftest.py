@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec.cache import clear_caches, set_cache_policy
+from repro.exec.cache import clear_caches
 
 
 def _reset_shared_state() -> None:
-    set_cache_policy(ttl_s=None)
     clear_caches()
 
 
 @pytest.fixture
 def fresh_caches():
-    """Zeroed shared caches with no TTL policy, restored afterwards."""
+    """Zeroed shared caches, zeroed again afterwards."""
     _reset_shared_state()
     yield
     _reset_shared_state()

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.mapping import MAPPINGS
 from repro.service.schemas import (
     ALL_SCHEMAS,
     CONFIG_NAMES,
@@ -45,6 +46,7 @@ from repro.service.schemas import (
     parse_payload,
     to_payload,
 )
+from repro.topology.machines import MACHINES
 
 # ----------------------------------------------------------------------
 # Instance strategies, one per schema
@@ -419,3 +421,9 @@ class TestStrictParsing:
         req = parse_payload(RecommendRequest, {})
         assert req == RecommendRequest()
         assert req.schema_version == SCHEMA_VERSION
+
+    def test_wire_names_are_the_lookup_tables_keys(self):
+        # The schema declares the names; the service looks them up.
+        assert (MACHINE_NAMES, MAPPING_NAMES) == (
+            tuple(sorted(MACHINES)), tuple(sorted(MAPPINGS)),
+        )

@@ -5,6 +5,9 @@ The acceptance contract for the multi-process deployment:
 * responses are **byte-identical to a single-process server** at every
   shard count (the ring only decides *where* a request is computed,
   never *what* the answer is);
+* errors the router answers itself (unknown routes, bad framing) are
+  byte-identical to the single-process server's, and a rejected body
+  never poisons its keep-alive connection;
 * a shard crash mid-load loses no requests and produces no malformed
   response — the router fails open to live shards while the supervisor
   restarts the dead one warm;
@@ -18,13 +21,16 @@ service suite, so shard fleets are kept small and shared per class.
 
 from __future__ import annotations
 
+import http.client
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.obs.metrics import merge_snapshots
 from repro.service import (
+    MAX_BODY_BYTES,
     PlanningServer,
     ServiceClient,
     ShardedPlanningService,
@@ -64,6 +70,41 @@ def run_workload(client):
         else:
             reply = client.post(path, payload)
         results.append((reply.status, reply.body))
+    return results
+
+
+def _post_with_length(url, length):
+    """``POST /plan`` with a hand-set Content-Length, or none at all."""
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=60)
+    try:
+        conn.putrequest("POST", "/plan")
+        if length is not None:
+            conn.putheader("Content-Length", length)
+        conn.endheaders()
+        reply = conn.getresponse()
+        return reply.status, reply.read()
+    finally:
+        conn.close()
+
+
+def edge_errors(url):
+    """(status, body) of each request the HTTP edge itself rejects."""
+    with ServiceClient(url, pool_size=1) as client:
+        routed = [
+            client.get("/nope"),
+            client.get("/recommend"),
+            client.post("/healthz", {}),
+            # The 405 left its body unread: the connection it came on
+            # must not parse that body as the next request line.
+            client.plan({"ranks": 64}),
+        ]
+        results = [(r.status, r.body) for r in routed]
+        results.append(_post_with_length(url, None))
+        results.append(_post_with_length(url, "twelve"))
+        # Last: the 413 closes the connection.
+        big = client.post("/recommend", raw=b"x" * (MAX_BODY_BYTES + 1))
+        results.append((big.status, big.body))
     return results
 
 
@@ -109,6 +150,18 @@ class TestByteDeterminism:
                     {"config": "fig2", "min_ranks": 64, "max_ranks": 256}
                 )
                 assert a.shard == b.shard
+
+
+class TestRouterEdge:
+    def test_edge_errors_identical_to_single_process(self):
+        with PlanningServer() as server:
+            want = edge_errors(server.url)
+        with ShardedPlanningService(shards=1, warm=False) as svc:
+            have = edge_errors(svc.url)
+        assert [status for status, _ in want] == [
+            404, 405, 405, 200, 411, 400, 413,
+        ]
+        assert have == want
 
 
 class TestShardFailure:

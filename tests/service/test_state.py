@@ -1,8 +1,8 @@
 """Unit tests for :class:`repro.service.state.ServiceState`.
 
 Covers request coalescing (leader/follower sharing one computation),
-the route-cache TTL governor with an injected clock, warm-start
-preloading, and the endpoint computations themselves.
+uptime on an injected clock, warm-start preloading, and the endpoint
+computations themselves.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.service.state import ServiceState
 
 
 class _FakeClock:
-    """A hand-cranked monotonic clock for TTL tests."""
+    """A hand-cranked monotonic clock for uptime tests."""
 
     def __init__(self) -> None:
         self.now = 100.0

@@ -243,10 +243,6 @@ class TestJobsValidation:
 
 
 class TestServe:
-    def test_rejects_nonpositive_cache_ttl(self, capsys):
-        assert main(["serve", "--port", "0", "--cache-ttl", "0"]) == 2
-        assert "--cache-ttl must be > 0" in capsys.readouterr().err
-
     def test_serve_smoke_start_healthz_shutdown(self):
         """Start `repro serve` in a subprocess, hit /healthz, SIGINT it."""
         import json as _json
