@@ -11,11 +11,10 @@ from repro.core.mapping.oblivious import ObliviousMapping
 from repro.core.prediction.delaunay import delaunay_triangulation
 from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import ProcessGrid
-from repro.topology.routing import path_links
 from repro.topology.torus import Torus3D
 from repro.verify.reference.halo import halo_messages
 from repro.verify.reference.mapping import node_tuples
-from repro.verify.reference.netsim import route_messages
+from repro.verify.reference.netsim import path_links, route_messages
 from repro.wrf.fields import ModelState
 from repro.wrf.solver import ShallowWaterSolver, SolverParams
 

@@ -12,7 +12,10 @@ service and records what a resident planning daemon actually delivers:
   shared another caller's in-flight computation instead of planning;
 * **sharded scaling** — the same storm against
   :class:`ShardedPlanningService` at 4 and 8 shards, with the speedup
-  over the single-process baseline from the same run.
+  over the single-process baseline from the same run;
+* **the shard ring's floor** — alternating storms against a 1-shard and
+  a 2-shard router deployment, whose median throughputs must differ by
+  at least :data:`TWO_SHARD_FLOOR` on a host with 2 or more cores.
 
 Every trajectory entry records ``shards`` / ``clients`` / ``pool_size``
 so runs are comparable across deployment shapes. The trajectory appends
@@ -78,6 +81,13 @@ SPEEDUP_FLOORS = (
     {4: float(_floor_env), 8: float(_floor_env)} if _floor_env
     else {4: 3.0, 8: 5.0}
 )
+
+#: Two shards behind the router must beat one shard behind the same
+#: router by this factor (median over alternating storm pairs), asserted
+#: when the host has at least 2 cores.
+TWO_SHARD_FLOOR = 1.25
+#: Alternating 1-shard/2-shard storm pairs behind that floor.
+SHARD_PAIRS = 3
 
 #: Single-process baseline throughput, shared within one pytest run so
 #: the sharded tests compute speedup against the same machine state.
@@ -308,6 +318,75 @@ def test_sharded_service_load(shards):
     )
     assert p99 <= max(P99_CEILING_S, 2 * _BASELINE.get("p99_s", p99)), (
         f"sharded p99 {p99:.3f}s regressed past the single-process run"
+    )
+
+
+def test_two_shards_beat_one():
+    """The shard ring proven by a floor: 2 shards vs 1 behind the router.
+
+    Both deployments run side by side and start cold (``warm=False``);
+    each request class of the mix is sent to each once before any
+    timing, so the storms measure warm serving. Storms alternate between
+    the deployments, so host drift lands on both sides, and the floor
+    applies to the ratio of the two median throughputs.
+    """
+    with (
+        ShardedPlanningService(shards=1, warm=False) as one,
+        ShardedPlanningService(shards=2, warm=False) as two,
+    ):
+        for svc in (one, two):
+            with ServiceClient(svc.url) as client:
+                for payload in _PAYLOADS:
+                    assert client.recommend(payload).status == 200
+        pairs = []
+        for _ in range(SHARD_PAIRS):
+            _, one_s, _ = _storm(one.url, REQUESTS, CLIENTS)
+            _, two_s, _ = _storm(two.url, REQUESTS, CLIENTS)
+            pairs.append((REQUESTS / one_s, REQUESTS / two_s))
+        with ServiceClient(two.url) as client:
+            per_shard = {
+                shard: info["requests_served"]
+                for shard, info in client.metrics()["shards"].items()
+            }
+
+    one_rps = statistics.median(p[0] for p in pairs)
+    two_rps = statistics.median(p[1] for p in pairs)
+    ratio = two_rps / one_rps
+    cores = os.cpu_count() or 1
+    _append({
+        "phase": "2-vs-1-shards",
+        "requests": REQUESTS,
+        "clients": CLIENTS,
+        "pool_size": POOL_SIZE,
+        "pairs_rps": [[round(a, 1), round(b, 1)] for a, b in pairs],
+        "one_shard_median_rps": round(one_rps, 1),
+        "two_shard_median_rps": round(two_rps, 1),
+        "ratio": round(ratio, 2),
+        "floor": TWO_SHARD_FLOOR,
+        "per_shard_requests": per_shard,
+        "cores": cores,
+    })
+    record("service_load_2vs1shards", "\n".join([
+        f"2 shards vs 1 behind the router "
+        f"({SHARD_PAIRS} alternating pairs of {REQUESTS} requests, "
+        f"{CLIENTS} clients)",
+        "  pairs (req/s)         "
+        + ", ".join(f"{a:.1f}/{b:.1f}" for a, b in pairs),
+        f"  1 shard median        {one_rps:10.1f} req/s",
+        f"  2 shards median       {two_rps:10.1f} req/s",
+        f"  ratio                 {ratio:10.2f}x (floor {TWO_SHARD_FLOOR}x)",
+        f"  per-shard requests    {per_shard}",
+    ]))
+
+    if cores < 2:
+        pytest.skip(
+            f"only {cores} core(s): 2 shard processes would share one "
+            "core, so the floor would assert contention (numbers "
+            "recorded above)"
+        )
+    assert ratio >= TWO_SHARD_FLOOR, (
+        f"2 shards served {two_rps:.1f} req/s, under {TWO_SHARD_FLOOR}x "
+        f"the 1-shard router's {one_rps:.1f} req/s"
     )
 
 

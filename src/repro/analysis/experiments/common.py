@@ -18,8 +18,7 @@ from repro.iosim.model import IoModel
 from repro.perfsim.params import WorkloadParams
 from repro.perfsim.profiling import profile_step_time
 from repro.perfsim.simulate import IterationReport, simulate_iteration
-from repro.runtime.decomposition import choose_process_grid
-from repro.runtime.process_grid import ProcessGrid
+from repro.runtime.decomposition import grid_for
 from repro.topology.machines import BLUE_GENE_L, BLUE_GENE_P, Machine
 from repro.util.stats import percent_improvement
 from repro.workloads.regions import Configuration
@@ -62,12 +61,6 @@ def fitted_model(machine: Machine, *, seed: int = 7) -> PerformanceModel:
     experiment shares the same model, as the paper's pipeline does.
     """
     return _fitted_model_cached(machine.name, seed)
-
-
-def grid_for(num_ranks: int) -> ProcessGrid:
-    """The near-square virtual process grid WRF would pick for *num_ranks*."""
-    px, py = choose_process_grid(num_ranks)
-    return ProcessGrid(px, py)
 
 
 def oblivious_placement(

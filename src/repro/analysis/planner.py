@@ -5,6 +5,8 @@ configuration and a machine, how many cores should I ask for, and with
 which strategy/mapping?* This module sweeps the candidate space with the
 cost simulator and returns ranked recommendations, including the
 efficiency cliff — the scale beyond which extra cores are mostly wasted.
+:func:`simulate_strategies` answers the one-scale question behind
+``repro simulate`` and ``POST /simulate``: both strategies, one iteration.
 
 The sweep is embarrassingly parallel over rank counts: pass ``jobs=N``
 to fan the per-scale evaluation out over a process pool
@@ -26,13 +28,14 @@ from repro.exec.plancache import parallel_plan, sequential_plan
 from repro.exec.pool import SweepRunner
 from repro.iosim.model import IoModel
 from repro.perfsim.params import WorkloadParams
-from repro.perfsim.simulate import simulate_iteration
-from repro.runtime.decomposition import choose_process_grid
+from repro.perfsim.simulate import IterationReport, simulate_iteration
+from repro.runtime.decomposition import grid_for
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.machines import Machine
 from repro.workloads.regions import Configuration
+from repro.wrf.grid import DomainSpec
 
-__all__ = ["PlanOption", "PlanRecommendation", "recommend"]
+__all__ = ["PlanOption", "PlanRecommendation", "recommend", "simulate_strategies"]
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,7 @@ def _evaluate_scale(item) -> List[PlanOption]:
     once the cheapest option across the whole sweep is known.
     """
     (config, machine, mapping, workload, io_model, ratios, ranks) = item
-    px, py = choose_process_grid(ranks)
-    grid = ProcessGrid(px, py)
+    grid = grid_for(ranks)
     siblings = list(config.siblings)
     seq_plan = sequential_plan(grid, config.parent, siblings)
     par_plan = parallel_plan(grid, config.parent, siblings, ratios)
@@ -187,3 +189,26 @@ def recommend(
         recommended=recommended,
         efficiency_floor=efficiency_floor,
     )
+
+
+def simulate_strategies(
+    grid: ProcessGrid,
+    parent: DomainSpec,
+    siblings: Sequence[DomainSpec],
+    machine: Machine,
+    *,
+    mapping: Optional[Mapping] = None,
+    io_model: Optional[IoModel] = None,
+) -> Tuple[IterationReport, IterationReport]:
+    """One iteration on *grid* under the sequential and the parallel strategy.
+
+    The parallel plan splits the grid by sibling point counts, and
+    *mapping* places the parallel run only: the sequential baseline keeps
+    the machine's default mapping. Returns ``(sequential, parallel)``.
+    """
+    siblings = list(siblings)
+    seq_plan = sequential_plan(grid, parent, siblings)
+    par_plan = parallel_plan(grid, parent, siblings, [s.points for s in siblings])
+    seq = simulate_iteration(seq_plan, machine, io_model=io_model)
+    par = simulate_iteration(par_plan, machine, mapping=mapping, io_model=io_model)
+    return seq, par

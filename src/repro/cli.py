@@ -40,16 +40,14 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.core.mapping import MAPPINGS
-from repro.core.mapping.base import Mapping
-from repro.core.scheduler.strategies import ParallelSiblingsStrategy, SequentialStrategy
 from repro.errors import ConfigurationError, ReproError
+from repro.exec.plancache import parallel_plan
 from repro.iosim.model import IoModel
 from repro.perfsim.profiling import profile_step
-from repro.perfsim.simulate import simulate_iteration
 from repro.perfsim.timeline import build_timeline, render_gantt
-from repro.runtime.decomposition import choose_process_grid
-from repro.runtime.process_grid import ProcessGrid
+from repro.runtime.decomposition import grid_for
 from repro.topology.machines import MACHINES
+from repro.workloads.paper_configs import CONFIGS
 from repro.wrf.grid import DomainSpec
 from repro.wrf.namelist import domains_from_namelist, parse_namelist
 
@@ -81,30 +79,12 @@ def _load_domains(args) -> tuple[DomainSpec, List[DomainSpec]]:
         with open(args.namelist) as fh:
             specs = domains_from_namelist(parse_namelist(fh.read()))
     else:
-        from repro.workloads.paper_configs import (
-            fig2_domains,
-            fig10_domains,
-            fig15_domains,
-            table2_domains,
-        )
-
-        builtins = {
-            "fig2": fig2_domains,
-            "fig10": fig10_domains,
-            "fig15": fig15_domains,
-            "table2": table2_domains,
-        }
-        config = builtins[args.config]()
+        config = CONFIGS[args.config]
         specs = [config.parent, *config.siblings]
     parent, *nests = specs
     if not nests:
         raise ReproError("configuration has no nests")
     return parent, nests
-
-
-def _grid_for(ranks: int) -> ProcessGrid:
-    px, py = choose_process_grid(ranks)
-    return ProcessGrid(px, py)
 
 
 def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
@@ -142,27 +122,22 @@ def _add_domain_source(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group()
     src.add_argument("--namelist", help="WRF-style namelist.input file")
     src.add_argument(
-        "--config", default="table2",
-        choices=["fig2", "fig10", "fig15", "table2"],
+        "--config", default="table2", choices=list(CONFIGS),
         help="built-in paper configuration (default: table2)",
     )
 
 
 def _cmd_simulate(args) -> int:
+    from repro.analysis.planner import simulate_strategies
+
     parent, nests = _load_domains(args)
     machine = MACHINES[args.machine]
-    grid = _grid_for(args.ranks)
-    io = None if args.io == "none" else IoModel(args.io)
-    mapping: Optional[Mapping] = (
-        None if args.mapping == "oblivious" else MAPPINGS[args.mapping]()
+    grid = grid_for(args.ranks)
+    seq, par = simulate_strategies(
+        grid, parent, nests, machine,
+        mapping=MAPPINGS[args.mapping](),
+        io_model=None if args.io == "none" else IoModel(args.io),
     )
-
-    seq_plan = SequentialStrategy().plan(grid, parent, nests)
-    par_plan = ParallelSiblingsStrategy().plan(
-        grid, parent, nests, ratios=[n.points for n in nests]
-    )
-    seq = simulate_iteration(seq_plan, machine, io_model=io)
-    par = simulate_iteration(par_plan, machine, mapping=mapping, io_model=io)
 
     print(f"machine {machine.name}, {args.ranks} ranks "
           f"({grid.px}x{grid.py} grid), mapping {args.mapping}")
@@ -186,9 +161,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_plan(args) -> int:
     parent, nests = _load_domains(args)
-    grid = _grid_for(args.ranks)
-    plan = ParallelSiblingsStrategy().plan(
-        grid, parent, nests, ratios=[n.points for n in nests]
+    plan = parallel_plan(
+        grid_for(args.ranks), parent, nests, [n.points for n in nests]
     )
     print(plan.describe())
     return 0
@@ -198,7 +172,7 @@ def _cmd_profile(args) -> int:
     machine = MACHINES[args.machine]
     spec = DomainSpec("query", nx=args.nx, ny=args.ny, dx_km=8.0,
                       parent="cli", parent_start=(0, 0), level=1)
-    grid = _grid_for(args.ranks)
+    grid = grid_for(args.ranks)
     sc = profile_step(spec, grid, machine)
     print(f"{args.nx}x{args.ny} on {args.ranks} {machine.name} ranks "
           f"({grid.px}x{grid.py} grid):")

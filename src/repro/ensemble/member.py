@@ -34,8 +34,7 @@ from repro.exec.plancache import sequential_plan
 from repro.iosim.model import IoModel
 from repro.obs.trace import tracer
 from repro.perfsim.simulate import simulate_iteration
-from repro.runtime.decomposition import choose_process_grid
-from repro.runtime.process_grid import ProcessGrid
+from repro.runtime.decomposition import grid_for
 from repro.steering.driver import SteeredRun
 from repro.topology.machines import MACHINES
 from repro.util.rng import make_rng
@@ -100,7 +99,7 @@ class PricingContext:
         policy.validate()
         self.policy = policy
         self.machine = MACHINES[policy.machine]
-        self.grid = ProcessGrid(*choose_process_grid(policy.ranks))
+        self.grid = grid_for(policy.ranks)
         self.mapping = _MAPPINGS[policy.mapping]()
         self.mode = policy.mode
         self.io_model = IoModel(policy.io) if policy.io else None

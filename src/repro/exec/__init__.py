@@ -35,14 +35,13 @@ from repro.exec.plancache import (
     reset_plan_cache,
     sequential_plan,
 )
-from repro.exec.pool import SweepResult, SweepRunner, run_sweep
+from repro.exec.pool import SweepResult, SweepRunner
 from repro.exec.procs import SupervisedProcess, WorkerSpawnError
 from repro.exec.workqueue import AffinityWorkQueue
 
 __all__ = [
     "SweepResult",
     "SweepRunner",
-    "run_sweep",
     "AffinityWorkQueue",
     "SupervisedProcess",
     "WorkerSpawnError",

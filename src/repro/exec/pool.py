@@ -11,15 +11,14 @@ such a task list out over a ``ProcessPoolExecutor`` while keeping the
 * each task is a pure function of its (picklable) spec, so ``jobs=1``
   and ``jobs=N`` produce byte-identical artifacts;
 * with ``capture_metrics=True`` every task runs against a freshly-zeroed
-  metrics registry and freshly-cleared caches,
-  its per-task snapshot is captured, and the parent folds the snapshots
-  **in task order** with the associative
-  :func:`~repro.obs.metrics.merge_snapshots`, so the merged snapshot is
-  also identical for every worker count.
+  metrics registry and freshly-cleared caches, and its snapshot comes
+  back **in task order**; folding them with the associative
+  :func:`~repro.obs.metrics.merge_snapshots` gives a merged snapshot
+  that is also identical for every worker count.
 
 Worker death (OOM killer, a segfaulting native library) is transient
 from the sweep's point of view: completed chunks are kept, unfinished
-chunks are resubmitted to a fresh pool, bounded by ``max_retries``.
+chunks are resubmitted to a fresh pool, at most twice.
 Task-raised exceptions are *not* retried — they propagate to the caller
 unchanged.
 
@@ -40,10 +39,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.errors import SweepError
 from repro.exec.cache import clear_caches
 from repro.obs.metrics import counter as _obs_counter
-from repro.obs.metrics import merge_snapshots, registry
+from repro.obs.metrics import registry
 from repro.obs.trace import tracer
 
-__all__ = ["SweepResult", "SweepRunner", "run_sweep"]
+__all__ = ["SweepResult", "SweepRunner"]
 
 Snapshot = Dict[str, Dict[str, Any]]
 
@@ -53,6 +52,9 @@ Snapshot = Dict[str, Dict[str, Any]]
 _TASKS = _obs_counter("exec.sweep.tasks")
 _CHUNKS = _obs_counter("exec.sweep.chunks")
 _RETRIES = _obs_counter("exec.sweep.retries")
+
+#: Pool rebuilds after ``BrokenProcessPool`` before a sweep gives up.
+_MAX_RETRIES = 2
 
 
 def _reset_task_state() -> None:
@@ -142,16 +144,18 @@ class SweepResult:
     chunks: int
     #: Worker-death retries that were needed.
     retries: int
-    #: Merged per-task metrics snapshot (``capture_metrics`` only).
-    metrics: Optional[Snapshot] = None
-    #: Unmerged per-task snapshots, in task order (``capture_metrics``
-    #: only) — for callers that stop consuming results early and must
-    #: fold exactly the consumed prefix.
+    #: Per-task metrics snapshots, in task order (``capture_metrics``
+    #: only). Callers fold the prefix they consume.
     task_metrics: Optional[Tuple[Snapshot, ...]] = None
 
 
 class SweepRunner:
     """Fan a list of picklable task specs out over a process pool.
+
+    Tasks go out in chunks of ``ceil(n / (jobs * 4))`` (at least 1):
+    four waves per worker balance pickle overhead against load balance.
+    Chunking never affects results or captured metrics, only scheduling
+    granularity.
 
     Parameters
     ----------
@@ -159,56 +163,38 @@ class SweepRunner:
         Worker processes. ``1`` runs every task inline in the calling
         process — same code path, no pool — which is the reference
         execution the parallel runs must match byte for byte.
-    chunksize:
-        Tasks per dispatched chunk (default: ``ceil(n / (jobs * 4))``,
-        clamped to at least 1 — four waves per worker balances pickle
-        overhead against load balance). Chunking never affects results
-        or captured metrics, only scheduling granularity.
     capture_metrics:
-        Capture a per-task metrics-registry snapshot and fold them in
-        task order into :attr:`SweepResult.metrics`. Each task then runs
-        against a zeroed registry and cleared caches; in ``jobs=1`` mode
-        that zeroing happens in the *calling* process, so only enable
-        this when the sweep owns the registry for the duration (the
-        fuzzer and the CLI entry points do).
+        Capture a per-task metrics-registry snapshot into
+        :attr:`SweepResult.task_metrics`. Each task then runs against a
+        zeroed registry and cleared caches; in ``jobs=1`` mode that
+        zeroing happens in the *calling* process, so only enable this
+        when the sweep owns the registry for the duration (the fuzzer
+        does).
     initializer / initargs:
         Ran once per worker before its first chunk (and once inline for
         ``jobs=1``) — the place to warm per-process caches: fit the
         performance model once per worker instead of once per task, warm
         the netsim route cache, etc. Must be picklable (module-level).
-    max_retries:
-        How many times the whole pool may die (``BrokenProcessPool``)
-        before the sweep gives up with :class:`~repro.errors.SweepError`.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         *,
-        chunksize: Optional[int] = None,
         capture_metrics: bool = False,
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
-        max_retries: int = 2,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.jobs = jobs
-        self.chunksize = chunksize
         self.capture_metrics = capture_metrics
         self.initializer = initializer
         self.initargs = tuple(initargs)
-        self.max_retries = max_retries
 
     # ------------------------------------------------------------------
     def _chunks(self, items: Sequence[Any]) -> List[Tuple[int, Sequence[Any]]]:
-        size = self.chunksize
-        if size is None:
-            size = max(1, math.ceil(len(items) / (self.jobs * 4)))
+        size = max(1, math.ceil(len(items) / (self.jobs * 4)))
         return [
             (start, items[start : start + size])
             for start in range(0, len(items), size)
@@ -246,16 +232,6 @@ class SweepRunner:
             elif n:
                 retries = self._run_pool(fn, chunks, results, per_task_snaps)
 
-        merged: Optional[Snapshot] = None
-        task_metrics: Optional[Tuple[Snapshot, ...]] = None
-        if self.capture_metrics:
-            with tr.span("exec.merge", {"tasks": n} if tr.enabled else None):
-                merged = {}
-                for snap in per_task_snaps:
-                    if snap is not None:
-                        merged = merge_snapshots(merged, snap)
-            task_metrics = tuple(s for s in per_task_snaps if s is not None)
-
         _TASKS.inc(n)
         _CHUNKS.inc(len(chunks))
         _RETRIES.inc(retries)
@@ -264,8 +240,7 @@ class SweepRunner:
             jobs=self.jobs,
             chunks=len(chunks),
             retries=retries,
-            metrics=merged,
-            task_metrics=task_metrics,
+            task_metrics=tuple(per_task_snaps) if self.capture_metrics else None,
         )
 
     # ------------------------------------------------------------------
@@ -321,21 +296,9 @@ class SweepRunner:
                 break  # pragma: no cover - defensive
             if pending:
                 retries += 1
-                if retries > self.max_retries:
+                if retries > _MAX_RETRIES:
                     raise SweepError(
                         f"worker pool died {retries} times with "
-                        f"{len(pending)} chunks unfinished; giving up "
-                        f"(max_retries={self.max_retries})"
+                        f"{len(pending)} chunks unfinished; giving up"
                     )
         return retries
-
-
-def run_sweep(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    *,
-    jobs: int = 1,
-    **kwargs: Any,
-) -> SweepResult:
-    """One-shot convenience wrapper around :meth:`SweepRunner.map`."""
-    return SweepRunner(jobs, **kwargs).map(fn, items)

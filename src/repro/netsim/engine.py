@@ -176,10 +176,8 @@ class LinkLoadVector:
 
     __slots__ = ("torus", "array")
 
-    def __init__(self, torus: Torus3D, loads: np.ndarray | None = None):
+    def __init__(self, torus: Torus3D, loads: np.ndarray):
         self.torus = torus
-        if loads is None:
-            loads = np.zeros(torus.num_nodes * LINKS_PER_NODE, dtype=np.int64)
         #: The per-link byte vector (index = dense link id).
         self.array = loads
 
@@ -207,10 +205,6 @@ class LinkLoadVector:
     def as_dict(self) -> dict[Link, int]:
         """Loaded links as a dict (parity-test convenience)."""
         return dict(self.items())
-
-    def merge(self, other: "LinkLoadVector") -> None:
-        """Accumulate another load set into this one (concurrent traffic)."""
-        self.array = self.array + other.array
 
     @property
     def resident_nbytes(self) -> int:
@@ -628,10 +622,6 @@ class VectorBackend:
             chunk_bounds=chunk_bounds,
         )
         return routed, loads
-
-    def empty_loads(self, torus: Torus3D) -> LinkLoadVector:
-        """A zeroed accumulator for concurrent (multi-sibling) traffic."""
-        return LinkLoadVector(torus)
 
     def round_estimate(
         self, routed: RoutedExchange, loads: LinkLoadVector, machine

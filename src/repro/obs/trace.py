@@ -1,6 +1,6 @@
 """Zero-dependency structured tracer.
 
-Spans (``with tracer.span("halo_exchange")``) measure *wall-clock* time
+Spans (``with tracer.span("netsim.exchange")``) measure *wall-clock* time
 with a monotonic nanosecond clock and carry nesting information (span id,
 parent id, depth); instant events and model-time *phase* samples ride on
 the same stream. Every record is a plain dict, emitted in completion

@@ -19,7 +19,7 @@ Calibration anchors (see DESIGN.md Sec 5) are asserted by
 
 from repro.perfsim.params import WorkloadParams, OutputParams
 from repro.perfsim.compute import ComputeCost, compute_time
-from repro.perfsim.commcost import CommCost, halo_comm_cost, concurrent_comm_costs
+from repro.perfsim.commcost import CommCost, comm_costs
 from repro.perfsim.iteration import StepCost, step_cost
 from repro.perfsim.simulate import IterationReport, SiblingReport, simulate_iteration
 from repro.perfsim.waits import WaitBreakdown
@@ -31,8 +31,7 @@ __all__ = [
     "ComputeCost",
     "compute_time",
     "CommCost",
-    "halo_comm_cost",
-    "concurrent_comm_costs",
+    "comm_costs",
     "StepCost",
     "step_cost",
     "IterationReport",

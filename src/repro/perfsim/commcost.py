@@ -1,13 +1,15 @@
-"""Per-step halo-communication cost under a placement.
+"""Per-step halo-communication cost of a set of concurrent exchanges.
 
 One exchange round's messages are built from the domain decomposition
 (:func:`repro.runtime.halo.halo_batch`), routed over the torus, and
 priced with the max-link contention model; the step performs
-``rounds_per_step`` identical rounds. When several siblings exchange
-*concurrently* (the parallel strategy), all their messages share the
-network: link loads accumulate across siblings before any message is
-priced, so a bad placement of one sibling slows its neighbours — exactly
-the congestion effect the paper's mappings relieve.
+``rounds_per_step`` identical rounds. :func:`comm_costs` prices a *set*
+of exchanges that run at the same time: link loads accumulate over every
+exchange of the set before any message is priced, so a bad placement of
+one sibling slows its neighbours — exactly the congestion effect the
+paper's mappings relieve. A domain that exchanges alone (the parent
+step, a sequential sibling, a profiling run) is the set of one, priced
+against its own loads.
 
 Routing and pricing go through the vectorized network engine
 (:data:`repro.netsim.engine.VECTOR`). Callers pass the placement's
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.netsim.contention import CommEstimate
-from repro.netsim.engine import VECTOR, PlacementVector
+from repro.netsim.engine import VECTOR, LinkLoadVector, PlacementVector
 from repro.obs.trace import tracer
 from repro.perfsim.params import WorkloadParams
 from repro.runtime.halo import halo_batch
@@ -30,7 +32,7 @@ from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.machines import Machine
 from repro.topology.torus import Torus3D
 
-__all__ = ["CommCost", "halo_comm_cost", "concurrent_comm_costs"]
+__all__ = ["CommCost", "comm_costs"]
 
 
 @dataclass(frozen=True)
@@ -64,36 +66,7 @@ def _cost_from_estimate(est: CommEstimate, rounds: int) -> CommCost:
     )
 
 
-def halo_comm_cost(
-    grid: ProcessGrid,
-    rect: GridRect,
-    nx: int,
-    ny: int,
-    torus: Torus3D,
-    placement: PlacementVector,
-    machine: Machine,
-    workload: WorkloadParams,
-) -> CommCost:
-    """Per-step halo cost of one domain exchanging alone on the network."""
-    msgs = halo_batch(grid, rect, nx, ny, workload.halo)
-    if not msgs:
-        return CommCost.zero()
-    tr = tracer()
-    if tr.enabled:
-        # Attrs are built only on the enabled path: halo_exchange is on
-        # the sweep hot path and must stay allocation-free when off.
-        with tr.span(
-            "netsim.halo_exchange", {"nx": nx, "ny": ny, "messages": len(msgs)}
-        ):
-            routed, loads = VECTOR.route_exchange(torus, placement, msgs)
-            est = VECTOR.round_estimate(routed, loads, machine)
-    else:
-        routed, loads = VECTOR.route_exchange(torus, placement, msgs)
-        est = VECTOR.round_estimate(routed, loads, machine)
-    return _cost_from_estimate(est, workload.halo.rounds_per_step)
-
-
-def concurrent_comm_costs(
+def comm_costs(
     grid: ProcessGrid,
     rects: Sequence[GridRect],
     domains: Sequence[tuple[int, int]],
@@ -102,26 +75,38 @@ def concurrent_comm_costs(
     machine: Machine,
     workload: WorkloadParams,
 ) -> List[CommCost]:
-    """Per-sibling halo costs when all siblings exchange simultaneously.
+    """Per-step halo costs of exchanges that run at the same time.
 
-    Link loads accumulate over the union of all siblings' messages; each
-    sibling's round time is then the max over *its own* messages under
-    those shared loads.
+    Domain *i* (``domains[i]`` points over ``rects[i]``) exchanges its
+    halo while all the others do. Link loads accumulate over every
+    exchange of the set; each domain's round time is then the max over
+    *its own* messages under those shared loads. An exchange with no
+    messages costs :meth:`CommCost.zero` and is neither routed nor priced.
     """
+    batches = [
+        halo_batch(grid, rect, nx, ny, workload.halo)
+        for rect, (nx, ny) in zip(rects, domains)
+    ]
+    costs = [CommCost.zero()] * len(batches)
+    live = [i for i, msgs in enumerate(batches) if msgs]
+    if not live:
+        return costs
     tr = tracer()
-    per_sibling = []
-    shared = VECTOR.empty_loads(torus)
-    with tr.span("netsim.concurrent_exchange"):
-        for rect, (nx, ny) in zip(rects, domains):
-            msgs = halo_batch(grid, rect, nx, ny, workload.halo)
-            routed, local = VECTOR.route_exchange(torus, placement, msgs)
-            per_sibling.append(routed)
-            shared.merge(local)
-    out: List[CommCost] = []
-    for routed in per_sibling:
-        if not len(routed):
-            out.append(CommCost.zero())
-            continue
-        est = VECTOR.round_estimate(routed, shared, machine)
-        out.append(_cost_from_estimate(est, workload.halo.rounds_per_step))
-    return out
+    with tr.span(
+        "netsim.exchange",
+        {"exchanges": len(live), "messages": sum(len(batches[i]) for i in live)}
+        if tr.enabled else None,
+    ):
+        routed = [VECTOR.route_exchange(torus, placement, batches[i]) for i in live]
+        # Cached load vectors are shared and read-only: the sum is a new
+        # array, and a lone exchange is priced against its own vector.
+        loads = routed[0][1]
+        if len(routed) > 1:
+            loads = LinkLoadVector(
+                torus, sum((lv.array for _, lv in routed[1:]), loads.array)
+            )
+        rounds = workload.halo.rounds_per_step
+        for i, (exchange, _) in zip(live, routed):
+            est = VECTOR.round_estimate(exchange, loads, machine)
+            costs[i] = _cost_from_estimate(est, rounds)
+    return costs

@@ -13,7 +13,7 @@ from typing import Optional
 from repro.core.mapping.base import Mapping, SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.exec.placementcache import cached_placement
-from repro.perfsim.commcost import halo_comm_cost
+from repro.perfsim.commcost import comm_costs
 from repro.perfsim.compute import compute_time
 from repro.perfsim.iteration import StepCost, step_cost
 from repro.perfsim.params import WorkloadParams
@@ -41,11 +41,10 @@ def profile_step(
     space = SlotSpace(torus, rpn)
     placement = cached_placement(mapping or ObliviousMapping(), grid, space)
     comp = compute_time(spec.nx, spec.ny, grid.px, grid.py, machine, workload)
-    comm = halo_comm_cost(
+    (comm,) = comm_costs(
         grid,
-        grid.full_rect(),
-        spec.nx,
-        spec.ny,
+        [grid.full_rect()],
+        [(spec.nx, spec.ny)],
         torus,
         placement.vector,
         machine,

@@ -20,7 +20,7 @@ from repro.exec.placementcache import cached_placement
 from repro.iosim.model import IoModel
 from repro.obs.metrics import sample_rss
 from repro.obs.trace import tracer
-from repro.perfsim.commcost import CommCost, concurrent_comm_costs, halo_comm_cost
+from repro.perfsim.commcost import comm_costs
 from repro.perfsim.compute import compute_time
 from repro.perfsim.iteration import StepCost, step_cost
 from repro.perfsim.params import WorkloadParams
@@ -220,8 +220,9 @@ def _simulate(
             parent.nx, parent.ny, parent_rect.width, parent_rect.height,
             machine, workload
         )
-        p_comm = halo_comm_cost(
-            grid, parent_rect, parent.nx, parent.ny, torus, vector, machine, workload
+        (p_comm,) = comm_costs(
+            grid, [parent_rect], [(parent.nx, parent.ny)], torus, vector,
+            machine, workload
         )
         parent_cost = step_cost(p_comp, p_comm, machine, workload, parent_rect.area)
 
@@ -233,16 +234,15 @@ def _simulate(
         ]
         sib_domains = [(a.domain.nx, a.domain.ny) for a in plan.assignments]
         if plan.concurrent:
-            comms = concurrent_comm_costs(
+            comms = comm_costs(
                 grid, sib_rects, sib_domains, torus, vector, machine, workload
             )
         else:
             comms = [
-                halo_comm_cost(
-                    grid, rect, a.domain.nx, a.domain.ny, torus, vector,
-                    machine, workload
-                )
-                for a, rect in zip(plan.assignments, sib_rects)
+                comm_costs(
+                    grid, [rect], [domain], torus, vector, machine, workload
+                )[0]
+                for rect, domain in zip(sib_rects, sib_domains)
             ]
 
         sib_steps: List[StepCost] = []

@@ -24,6 +24,7 @@ from repro.runtime.decomposition import (
     BlockDecomposition,
     decompose,
     choose_process_grid,
+    grid_for,
     tile_dims,
 )
 from repro.runtime.halo import HaloBatch, HaloSpec, halo_batch
@@ -35,6 +36,7 @@ __all__ = [
     "BlockDecomposition",
     "decompose",
     "choose_process_grid",
+    "grid_for",
     "tile_dims",
     "HaloSpec",
     "HaloBatch",

@@ -8,7 +8,8 @@ giving each rank a contiguous tile of roughly ``nx/Px x ny/Py`` points
 
 Also provided is the WRF-style factorisation of a rank count into a
 near-square process grid (``choose_process_grid``), optionally biased
-toward the domain's aspect ratio.
+toward the domain's aspect ratio, and the unbiased grid every
+rank-count-driven caller runs on (``grid_for``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import ConfigurationError
+from repro.runtime.process_grid import ProcessGrid
 from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,6 +32,7 @@ __all__ = [
     "decompose_cache_stats",
     "reset_decompose_cache",
     "choose_process_grid",
+    "grid_for",
     "tile_dims",
     "split_counts",
 ]
@@ -159,3 +162,8 @@ def choose_process_grid(
             best = (px, py)
     assert best is not None
     return best
+
+
+def grid_for(num_ranks: int) -> ProcessGrid:
+    """The near-square virtual process grid WRF would pick for *num_ranks*."""
+    return ProcessGrid(*choose_process_grid(num_ranks))

@@ -72,8 +72,8 @@ _Reply = Tuple[int, bytes, Dict[str, str]]
 class _HttpError(Exception):
     """Internal: carries an HTTP status + stable error code to the edge.
 
-    ``close`` drops the connection after the reply, for a request whose
-    body was not read in full.
+    ``close`` answers ``Connection: close`` and drops the connection
+    after the reply, for a request whose body was not read in full.
     """
 
     def __init__(
@@ -158,9 +158,9 @@ class _EdgeHandler(BaseHTTPRequestHandler):
                     )
                 status, body, extra = handler(self)
             except _HttpError as exc:
-                status, body, extra = exc.status, _error_body(exc.code, str(exc)), {}
-                if exc.close:
-                    self.close_connection = True
+                status, body = exc.status, _error_body(exc.code, str(exc))
+                # send_header sets close_connection when it writes this.
+                extra = {"Connection": "close"} if exc.close else {}
             except SchemaError as exc:
                 status, body, extra = 400, _error_body(exc.code, str(exc)), {}
             except ReproError as exc:

@@ -61,8 +61,9 @@ __all__ = [
 #: Wire-format version embedded in every request and response.
 SCHEMA_VERSION = 1
 
-#: Built-in paper configurations the service can plan (the same set the
-#: CLI exposes via ``--config``).
+#: Built-in paper configurations the service can plan: the keys of
+#: :data:`repro.workloads.paper_configs.CONFIGS`, which the CLI's
+#: ``--config`` offers too.
 CONFIG_NAMES: Tuple[str, ...] = ("fig2", "fig10", "fig15", "table2")
 MACHINE_NAMES: Tuple[str, ...] = ("bgl", "bgp")
 MAPPING_NAMES: Tuple[str, ...] = ("multilevel", "oblivious", "partition", "txyz")

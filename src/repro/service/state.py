@@ -28,6 +28,7 @@ import time
 from dataclasses import asdict
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.analysis.planner import recommend, simulate_strategies
 from repro.core.mapping import MAPPINGS
 from repro.errors import ConfigurationError
 from repro.exec.placementcache import placement_cache_stats
@@ -36,9 +37,8 @@ from repro.iosim.model import IoModel
 from repro.netsim.engine import route_cache_stats
 from repro.obs.metrics import counter, registry
 from repro.obs.trace import tracer
-from repro.perfsim.simulate import IterationReport, simulate_iteration
-from repro.runtime.decomposition import choose_process_grid
-from repro.runtime.process_grid import ProcessGrid
+from repro.perfsim.simulate import IterationReport
+from repro.runtime.decomposition import grid_for
 from repro.service.schemas import (
     SCHEMA_VERSION,
     HealthResponse,
@@ -57,7 +57,7 @@ from repro.service.schemas import (
     dump_bytes,
 )
 from repro.topology.machines import MACHINES
-from repro.workloads.regions import Configuration
+from repro.workloads.paper_configs import CONFIGS
 
 __all__ = [
     "ServiceState",
@@ -69,26 +69,6 @@ LATENCY_BOUNDS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
     5.0, 10.0,
 )
-
-
-def _builtin_config(name: str) -> Configuration:
-    from repro.workloads.paper_configs import (
-        fig2_domains,
-        fig10_domains,
-        fig15_domains,
-        table2_domains,
-    )
-
-    builders = {
-        "fig2": fig2_domains,
-        "fig10": fig10_domains,
-        "fig15": fig15_domains,
-        "table2": table2_domains,
-    }
-    try:
-        return builders[name]()
-    except KeyError:
-        raise ConfigurationError(f"unknown configuration {name!r}") from None
 
 
 class _InFlight:
@@ -154,8 +134,6 @@ class ServiceState:
         return entry.response, False
 
     def _compute_recommend(self, req: RecommendRequest) -> RecommendResponse:
-        from repro.analysis.planner import recommend
-
         tr = tracer()
         with tr.span(
             "service.recommend.compute",
@@ -163,7 +141,7 @@ class ServiceState:
             if tr.enabled else None,
         ):
             rec = recommend(
-                _builtin_config(req.config),
+                CONFIGS[req.config],
                 MACHINES[req.machine],
                 max_ranks=req.max_ranks,
                 min_ranks=req.min_ranks,
@@ -193,22 +171,12 @@ class ServiceState:
 
     def simulate(self, req: SimulateRequest) -> SimulateResponse:
         """Price one iteration of *req* under both strategies."""
-        config = _builtin_config(req.config)
-        machine = MACHINES[req.machine]
-        px, py = choose_process_grid(req.ranks)
-        grid = ProcessGrid(px, py)
-        siblings = list(config.siblings)
-        seq_plan = sequential_plan(grid, config.parent, siblings)
-        par_plan = parallel_plan(
-            grid, config.parent, siblings, [s.points for s in siblings]
-        )
-        mapping = (
-            None if req.mapping == "oblivious" else MAPPINGS[req.mapping]()
-        )
-        io_model = None if req.io == "none" else IoModel(req.io)
-        seq = simulate_iteration(seq_plan, machine, io_model=io_model)
-        par = simulate_iteration(
-            par_plan, machine, mapping=mapping, io_model=io_model
+        config = CONFIGS[req.config]
+        seq, par = simulate_strategies(
+            grid_for(req.ranks), config.parent, config.siblings,
+            MACHINES[req.machine],
+            mapping=MAPPINGS[req.mapping](),
+            io_model=None if req.io == "none" else IoModel(req.io),
         )
 
         def payload(rep: IterationReport) -> IterationPayload:
@@ -237,9 +205,8 @@ class ServiceState:
         One memoized plan-cache lookup — the cheapest cacheable request
         the service answers, and the router's affinity probe.
         """
-        config = _builtin_config(req.config)
-        px, py = choose_process_grid(req.ranks)
-        grid = ProcessGrid(px, py)
+        config = CONFIGS[req.config]
+        grid = grid_for(req.ranks)
         siblings = list(config.siblings)
         if req.strategy == "sequential":
             plan = sequential_plan(grid, config.parent, siblings)
@@ -335,7 +302,7 @@ class ServiceState:
     # ---------------------------------------------------------- warm-up
     def warm_start(
         self,
-        configs: Tuple[str, ...] = ("fig2", "fig10", "fig15", "table2"),
+        configs: Tuple[str, ...] = tuple(CONFIGS),
         *,
         machine: str = "bgl",
         max_ranks: int = 256,

@@ -5,8 +5,8 @@ This package provides the hardware substrate the paper evaluates on:
 * :class:`~repro.topology.torus.Torus3D` — a 3-D torus of compute nodes with
   wraparound links, coordinate/rank conversion and hop distances.
 * :mod:`~repro.topology.routing` — deterministic dimension-ordered (XYZ)
-  routing, as used by Blue Gene's torus network, producing the exact link
-  sequence every message traverses.
+  routing, as used by Blue Gene's torus network: per-dimension direction
+  and hop counts for whole arrays of node pairs.
 * :mod:`~repro.topology.machines` — parameterised models of IBM Blue Gene/L
   and Blue Gene/P (clock rate, cores per node, execution modes, link
   bandwidth and latencies, I/O characteristics) plus helpers that choose the
@@ -14,7 +14,6 @@ This package provides the hardware substrate the paper evaluates on:
 """
 
 from repro.topology.torus import Torus3D, TorusCoord, Link
-from repro.topology.routing import route_dimension_ordered, path_links
 from repro.topology.machines import (
     Machine,
     ExecutionMode,
@@ -29,8 +28,6 @@ __all__ = [
     "Torus3D",
     "TorusCoord",
     "Link",
-    "route_dimension_ordered",
-    "path_links",
     "Machine",
     "ExecutionMode",
     "blue_gene_l",

@@ -2,86 +2,37 @@
 
 Blue Gene's torus network routes packets deterministically (in the default
 mode) one dimension at a time, taking the shorter direction around each
-ring. The network-contention simulator (:mod:`repro.netsim`) charges every
-message against the exact links this module reports, so two messages whose
-routes share a link contend for its bandwidth.
+ring. :func:`ring_steps_array` gives that direction and hop count per
+dimension for whole arrays of node pairs; the network engine
+(:mod:`repro.netsim.engine`) expands them into the exact links every
+message crosses, so two messages whose routes share a link contend for
+its bandwidth. The hop-by-hop scalar routes it replaced live with the
+reference simulator (:mod:`repro.verify.reference.netsim`).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.topology.torus import Link, Torus3D, TorusCoord
-
-__all__ = ["route_dimension_ordered", "path_links", "ring_steps_array"]
-
-
-def _ring_steps(src: int, dst: int, size: int) -> tuple[int, int]:
-    """Return ``(direction, count)`` for the shorter way around a ring.
-
-    Ties (exactly half way around an even ring) break toward the positive
-    direction, matching a fixed hardware tie-break.
-    """
-    if size == 1 or src == dst:
-        return (1, 0)
-    forward = (dst - src) % size
-    backward = (src - dst) % size
-    if forward <= backward:
-        return (1, forward)
-    return (-1, backward)
+__all__ = ["ring_steps_array"]
 
 
 def ring_steps_array(
     src: np.ndarray, dst: np.ndarray, size: np.ndarray | int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed-form :func:`_ring_steps` over whole arrays.
+    """The shorter way around a ring, for whole arrays of positions.
 
     ``src``/``dst`` are integer position arrays and ``size`` the ring
     extent (scalar or broadcastable array). Returns ``(direction, count)``
-    arrays with the same tie-break as the scalar routine: a tie (even ring,
-    exactly half way) routes in the positive direction, and degenerate
-    cases (``size == 1`` or ``src == dst``) yield ``(+1, 0)``.
+    arrays: a tie (even ring, exactly half way) routes in the positive
+    direction, matching a fixed hardware tie-break, and degenerate cases
+    (``size == 1`` or ``src == dst``) yield ``(+1, 0)`` — the same as the
+    reference simulator's scalar ``_ring_steps``.
     """
     forward = (dst - src) % size
     backward = (src - dst) % size
     direction = np.where(forward <= backward, 1, -1).astype(np.int64)
     count = np.minimum(forward, backward).astype(np.int64)
     return direction, count
-
-
-def route_dimension_ordered(torus: Torus3D, src: TorusCoord, dst: TorusCoord) -> List[TorusCoord]:
-    """The node sequence a message visits from *src* to *dst* (inclusive).
-
-    Routes fully along x, then y, then z — the XYZ dimension order of the
-    Blue Gene torus. The returned list starts at *src* and ends at *dst*;
-    for ``src == dst`` it is ``[src]``.
-    """
-    path = [src]
-    cur = src
-    for dim in range(3):
-        direction, count = _ring_steps(cur[dim], dst[dim], torus.dims[dim])
-        for _ in range(count):
-            cur = torus.shift(cur, dim, direction)
-            path.append(cur)
-    if cur != dst:  # pragma: no cover - defensive; cannot happen
-        raise AssertionError(f"routing failed: reached {cur}, wanted {dst}")
-    return path
-
-
-def path_links(torus: Torus3D, src: TorusCoord, dst: TorusCoord) -> List[Link]:
-    """The directed links traversed by the dimension-ordered route.
-
-    The list has exactly ``torus.distance(src, dst)`` entries; it is empty
-    when source and destination coincide (an intra-node transfer that never
-    touches the network).
-    """
-    links: List[Link] = []
-    cur = src
-    for dim in range(3):
-        direction, count = _ring_steps(cur[dim], dst[dim], torus.dims[dim])
-        for _ in range(count):
-            links.append(Link(src=cur, dim=dim, direction=direction))
-            cur = torus.shift(cur, dim, direction)
-    return links

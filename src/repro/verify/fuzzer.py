@@ -16,7 +16,7 @@ replaced, and the skip is counted in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.exec.pool import SweepRunner
@@ -248,7 +248,6 @@ def fuzz(
     oracle_names: Optional[Sequence[str]] = None,
     shrink_failures: bool = True,
     max_failures: int = 10,
-    on_scenario: Optional[Callable[[int, Scenario], None]] = None,
     jobs: int = 1,
     collect_metrics: bool = False,
 ) -> FuzzReport:
@@ -268,9 +267,6 @@ def fuzz(
     max_failures:
         Stop early after this many failures (keeps a badly broken tree
         from burning the whole budget on shrinking).
-    on_scenario:
-        Progress callback ``(index, scenario)`` invoked per evaluated
-        scenario, in order.
     jobs:
         Worker processes for scenario evaluation. Scenarios are always
         drawn in the parent from one RNG stream, so the failure list,
@@ -328,8 +324,6 @@ def fuzz(
             # Inline path: evaluate lazily so max_failures stops early
             # without paying for the rest of the budget.
             for idx, scenario in enumerate(scenarios):
-                if on_scenario is not None:
-                    on_scenario(idx, scenario)
                 found = _fuzz_task((scenario, selected))
                 ran = idx + 1
                 note_failures(scenario, found)
@@ -346,8 +340,6 @@ def fuzz(
             merged: Dict[str, Dict[str, Any]] = {}
             for idx, found in enumerate(sweep.results):
                 scenario = scenarios[idx]
-                if on_scenario is not None:
-                    on_scenario(idx, scenario)
                 merged = merge_snapshots(merged, sweep.task_metrics[idx])
                 ran = idx + 1
                 note_failures(scenario, found)

@@ -52,9 +52,9 @@ from repro.core.scheduler.strategies import SequentialStrategy
 from repro.netsim.engine import VECTOR, route_exchange_streamed
 from repro.netsim.metrics import traffic_metrics
 from repro.perfsim.simulate import IterationReport, effective_rect, simulate_iteration
-from repro.runtime.decomposition import choose_process_grid
+from repro.runtime.decomposition import grid_for
 from repro.runtime.halo import HaloSpec, halo_batch
-from repro.runtime.process_grid import GridRect, ProcessGrid
+from repro.runtime.process_grid import GridRect
 from repro.verify.reference import netsim as ref_netsim
 from repro.verify.reference.halo import halo_messages
 from repro.verify.reference.mapping import node_tuples
@@ -253,9 +253,8 @@ def check_monotone_scaling(run: ScenarioRun) -> None:
         return
     reports: List[IterationReport] = []
     for ranks in ladder:
-        px, py = choose_process_grid(ranks)
         plan = SequentialStrategy().plan(
-            ProcessGrid(px, py), run.parent, list(run.siblings)
+            grid_for(ranks), run.parent, list(run.siblings)
         )
         reports.append(simulate_iteration(plan, run.machine))
     for prev_ranks, prev, ranks, rep in zip(

@@ -2,10 +2,12 @@
 
 The original pure-Python engine, kept as the oracle for
 :class:`repro.netsim.engine.VectorBackend`. Messages are routed one at a
-time with :func:`~repro.topology.routing.path_links`, bytes accumulate
-in a :class:`LinkLoads` counter keyed by :class:`~repro.topology.torus.Link`,
-and a round is priced message by message with the max-link contention
-model documented in :mod:`repro.netsim.contention`.
+time with :func:`path_links` (dimension-ordered XYZ routing, the scalar
+twin of :func:`repro.topology.routing.ring_steps_array`), bytes
+accumulate in a :class:`LinkLoads` counter keyed by
+:class:`~repro.topology.torus.Link`, and a round is priced message by
+message with the max-link contention model documented in
+:mod:`repro.netsim.contention`.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from typing import Dict, Iterable, List, Sequence
 from repro.netsim.contention import CommEstimate
 from repro.netsim.metrics import TrafficMetrics
 from repro.topology.machines import Machine
-from repro.topology.routing import path_links
 from repro.topology.torus import Link, Torus3D, TorusCoord
 from repro.verify.reference.halo import HaloMessage
 
 __all__ = [
+    "route_dimension_ordered",
+    "path_links",
     "RoutedMessage",
     "LinkLoads",
     "route_messages",
@@ -29,6 +32,57 @@ __all__ = [
     "round_time",
     "traffic_metrics",
 ]
+
+
+def _ring_steps(src: int, dst: int, size: int) -> tuple[int, int]:
+    """Return ``(direction, count)`` for the shorter way around a ring.
+
+    Ties (exactly half way around an even ring) break toward the positive
+    direction, matching a fixed hardware tie-break.
+    """
+    if size == 1 or src == dst:
+        return (1, 0)
+    forward = (dst - src) % size
+    backward = (src - dst) % size
+    if forward <= backward:
+        return (1, forward)
+    return (-1, backward)
+
+
+def route_dimension_ordered(torus: Torus3D, src: TorusCoord, dst: TorusCoord) -> List[TorusCoord]:
+    """The node sequence a message visits from *src* to *dst* (inclusive).
+
+    Routes fully along x, then y, then z — the XYZ dimension order of the
+    Blue Gene torus. The returned list starts at *src* and ends at *dst*;
+    for ``src == dst`` it is ``[src]``.
+    """
+    path = [src]
+    cur = src
+    for dim in range(3):
+        direction, count = _ring_steps(cur[dim], dst[dim], torus.dims[dim])
+        for _ in range(count):
+            cur = torus.shift(cur, dim, direction)
+            path.append(cur)
+    if cur != dst:  # pragma: no cover - defensive; cannot happen
+        raise AssertionError(f"routing failed: reached {cur}, wanted {dst}")
+    return path
+
+
+def path_links(torus: Torus3D, src: TorusCoord, dst: TorusCoord) -> List[Link]:
+    """The directed links traversed by the dimension-ordered route.
+
+    The list has exactly ``torus.distance(src, dst)`` entries; it is empty
+    when source and destination coincide (an intra-node transfer that never
+    touches the network).
+    """
+    links: List[Link] = []
+    cur = src
+    for dim in range(3):
+        direction, count = _ring_steps(cur[dim], dst[dim], torus.dims[dim])
+        for _ in range(count):
+            links.append(Link(src=cur, dim=dim, direction=direction))
+            cur = torus.shift(cur, dim, direction)
+    return links
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from repro.exec.placementcache import cached_placement
 from repro.exec.plancache import parallel_plan, sequential_plan
 from repro.iosim.model import IoModel
 from repro.perfsim.simulate import IterationReport, simulate_iteration
-from repro.runtime.decomposition import choose_process_grid
+from repro.runtime.decomposition import grid_for
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.machines import MACHINES, Machine
 from repro.util.rng import SeedLike, make_rng
@@ -120,8 +120,7 @@ class Scenario:
         """Expand into plans, placements, and simulated reports."""
         machine = MACHINES[self.machine]
         parent, siblings = self.domains()
-        px, py = choose_process_grid(self.ranks)
-        grid = ProcessGrid(px, py)
+        grid = grid_for(self.ranks)
 
         # Memoized planning: shrink loops rebuild near-identical variants
         # and hit the cache for everything but the first build of a key.

@@ -19,6 +19,7 @@ from repro.workloads.regions import (
     southeast_asia_configurations,
 )
 from repro.workloads.paper_configs import (
+    CONFIGS,
     fig2_domains,
     table2_domains,
     table2_rects,
@@ -35,6 +36,7 @@ __all__ = [
     "pacific_parent",
     "pacific_configurations",
     "southeast_asia_configurations",
+    "CONFIGS",
     "fig2_domains",
     "table2_domains",
     "table2_rects",

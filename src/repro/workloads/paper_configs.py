@@ -9,13 +9,14 @@ larger parent, documented in DESIGN.md as a substitution.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.runtime.process_grid import GridRect
 from repro.workloads.regions import Configuration, pacific_parent
 from repro.wrf.grid import DomainSpec
 
 __all__ = [
+    "CONFIGS",
     "fig2_domains",
     "table2_domains",
     "table2_rects",
@@ -199,3 +200,12 @@ def fig15_domains() -> Configuration:
         parent,
         (_nest("d02", 259, 229, (10, 10)), _nest("d03", 259, 229, (150, 150))),
     )
+
+
+#: The built-in configurations, keyed by name: what ``repro simulate``,
+#: ``repro plan`` and ``repro recommend`` accept as ``--config`` and
+#: what the planning service plans.
+CONFIGS: Dict[str, Configuration] = {
+    c.name: c
+    for c in (fig2_domains(), fig10_domains(), fig15_domains(), table2_domains())
+}

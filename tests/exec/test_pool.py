@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import SweepError
-from repro.exec import SweepRunner, run_sweep
-from repro.obs.metrics import counter, registry
+from repro.exec import SweepRunner
+from repro.obs.metrics import counter, merge_snapshots, registry
 
 
 def _square(x):
@@ -49,64 +49,55 @@ def _count_and_square(x):
     return x * x
 
 
+def _merged(sweep):
+    merged = {}
+    for snap in sweep.task_metrics:
+        merged = merge_snapshots(merged, snap)
+    return merged
+
+
 class TestInline:
     def test_results_in_input_order(self):
-        out = run_sweep(_square, range(10))
+        out = SweepRunner().map(_square, range(10))
         assert out.results == tuple(x * x for x in range(10))
         assert out.jobs == 1
-        assert out.metrics is None
+        assert out.task_metrics is None
 
     def test_empty_items(self):
-        out = run_sweep(_square, [])
+        out = SweepRunner().map(_square, [])
         assert out.results == ()
         assert out.chunks == 0
 
     def test_task_exception_propagates(self):
         with pytest.raises(ValueError, match="unlucky"):
-            run_sweep(_boom, range(20))
+            SweepRunner().map(_boom, range(20))
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             SweepRunner(0)
-        with pytest.raises(ValueError):
-            SweepRunner(2, chunksize=0)
-        with pytest.raises(ValueError):
-            SweepRunner(2, max_retries=-1)
 
 
 class TestPool:
     def test_jobs_2_matches_inline(self):
-        a = run_sweep(_square, range(23))
-        b = run_sweep(_square, range(23), jobs=2)
+        a = SweepRunner().map(_square, range(23))
+        b = SweepRunner(2).map(_square, range(23))
         assert a.results == b.results
         assert b.jobs == 2
         assert b.chunks > 1
 
-    def test_chunksize_does_not_change_results(self):
-        a = run_sweep(_square, range(17), jobs=2, chunksize=1)
-        b = run_sweep(_square, range(17), jobs=2, chunksize=7)
-        assert a.results == b.results
-
     def test_task_exception_propagates_from_worker(self):
         with pytest.raises(ValueError, match="unlucky"):
-            run_sweep(_boom, range(20), jobs=2)
+            SweepRunner(2).map(_boom, range(20))
 
     def test_worker_death_is_retried(self, tmp_path):
         sentinel = str(tmp_path / "died-once")
-        out = run_sweep(
-            _die_once, [(x, sentinel) for x in range(8)], jobs=2
-        )
+        out = SweepRunner(2).map(_die_once, [(x, sentinel) for x in range(8)])
         assert out.results == tuple(range(8))
         assert out.retries >= 1
 
     def test_repeated_worker_death_raises_sweep_error(self, tmp_path):
-        with pytest.raises(SweepError, match="worker pool died"):
-            run_sweep(
-                _die_always,
-                [(x, str(tmp_path)) for x in range(8)],
-                jobs=2,
-                max_retries=1,
-            )
+        with pytest.raises(SweepError, match="worker pool died 3 times"):
+            SweepRunner(2).map(_die_always, [(x, str(tmp_path)) for x in range(8)])
 
     def test_initializer_runs_in_workers(self):
         # The initializer warms a per-process cache; here it just must
@@ -126,19 +117,10 @@ class TestCaptureMetrics:
         a = SweepRunner(1, capture_metrics=True).map(_count_and_square, range(9))
         b = SweepRunner(2, capture_metrics=True).map(_count_and_square, range(9))
         assert a.results == b.results
-        assert a.metrics == b.metrics
-        assert a.metrics["test.sweep.pool.calls"]["value"] == 9
         assert len(a.task_metrics) == len(b.task_metrics) == 9
         assert a.task_metrics == b.task_metrics
-
-    def test_chunking_does_not_change_merged_snapshot(self):
-        a = SweepRunner(2, capture_metrics=True, chunksize=1).map(
-            _count_and_square, range(7)
-        )
-        b = SweepRunner(2, capture_metrics=True, chunksize=5).map(
-            _count_and_square, range(7)
-        )
-        assert a.metrics == b.metrics
+        assert _merged(a) == _merged(b)
+        assert _merged(a)["test.sweep.pool.calls"]["value"] == 9
 
     def test_untouched_metrics_are_pruned(self):
         # A metric registered in this process but never touched by the
@@ -146,8 +128,9 @@ class TestCaptureMetrics:
         # even have it registered).
         counter("test.sweep.pool.never_touched")
         out = SweepRunner(1, capture_metrics=True).map(_count_and_square, [1])
-        assert "test.sweep.pool.never_touched" not in out.metrics
-        assert "test.sweep.pool.calls" in out.metrics
+        (snap,) = out.task_metrics
+        assert "test.sweep.pool.never_touched" not in snap
+        assert "test.sweep.pool.calls" in snap
 
 
 def test_sweep_counters_survive_capture_mode():

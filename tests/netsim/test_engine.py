@@ -83,17 +83,6 @@ class TestLinkLoadVector:
         assert loads.num_loaded_links() == 2
         assert len(loads) == 2
 
-    def test_merge_accumulates(self):
-        torus = Torus3D((4, 1, 1))
-        placed = vector(torus, (0, 0, 0), (1, 0, 0))
-        _, loads = VECTOR.route_exchange(torus, placed, batch((0, 1, 5)))
-        shared = VECTOR.empty_loads(torus)
-        shared.merge(loads)
-        shared.merge(loads)
-        assert shared.max_load() == 10
-        # Cached loads stay untouched by merges.
-        assert loads.max_load() == 5
-
 
 class TestRouteCache:
     def test_hit_on_identical_exchange(self):

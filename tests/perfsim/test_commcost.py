@@ -1,12 +1,15 @@
 """Tests for the halo communication cost model."""
 
+import numpy as np
 import pytest
 
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.core.mapping.partition_map import PartitionMapping
-from repro.perfsim.commcost import CommCost, concurrent_comm_costs, halo_comm_cost
+from repro.netsim.engine import VECTOR
+from repro.perfsim.commcost import CommCost, comm_costs
 from repro.perfsim.params import WorkloadParams
+from repro.runtime.halo import halo_batch
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.machines import BLUE_GENE_L
 from repro.topology.torus import Torus3D
@@ -22,18 +25,24 @@ def setup(grid_shape=(8, 8), torus_dims=(4, 4, 4), rpn=1, mapping=None):
     return grid, torus, placement.vector
 
 
+def alone_cost(grid, rect, nx, ny, torus, nodes, machine, workload):
+    """One domain exchanging alone: the set of one."""
+    (cost,) = comm_costs(grid, [rect], [(nx, ny)], torus, nodes, machine, workload)
+    return cost
+
+
 class TestHaloCommCost:
     def test_single_rank_no_comm(self):
         grid, torus, nodes = setup()
-        c = halo_comm_cost(grid, GridRect(0, 0, 1, 1), 100, 100,
-                           torus, nodes, BLUE_GENE_L, WL)
+        c = alone_cost(grid, GridRect(0, 0, 1, 1), 100, 100,
+                       torus, nodes, BLUE_GENE_L, WL)
         assert c.time == 0.0
         assert c == CommCost.zero()
 
     def test_positive_for_real_grid(self):
         grid, torus, nodes = setup()
-        c = halo_comm_cost(grid, grid.full_rect(), 200, 200,
-                           torus, nodes, BLUE_GENE_L, WL)
+        c = alone_cost(grid, grid.full_rect(), 200, 200,
+                       torus, nodes, BLUE_GENE_L, WL)
         assert c.time > 0.0
         assert c.ideal_time <= c.time
         assert c.average_hops > 0.0
@@ -45,18 +54,18 @@ class TestHaloCommCost:
         from repro.runtime.halo import HaloSpec
 
         wl2 = WorkloadParams(halo=HaloSpec(rounds_per_step=72))
-        c1 = halo_comm_cost(grid, grid.full_rect(), 200, 200, torus, nodes,
-                            BLUE_GENE_L, wl1)
-        c2 = halo_comm_cost(grid, grid.full_rect(), 200, 200, torus, nodes,
-                            BLUE_GENE_L, wl2)
+        c1 = alone_cost(grid, grid.full_rect(), 200, 200, torus, nodes,
+                        BLUE_GENE_L, wl1)
+        c2 = alone_cost(grid, grid.full_rect(), 200, 200, torus, nodes,
+                        BLUE_GENE_L, wl2)
         assert c2.time == pytest.approx(2 * c1.time)
 
     def test_bigger_domain_more_bytes(self):
         grid, torus, nodes = setup()
-        small = halo_comm_cost(grid, grid.full_rect(), 100, 100, torus, nodes,
-                               BLUE_GENE_L, WL)
-        large = halo_comm_cost(grid, grid.full_rect(), 400, 400, torus, nodes,
-                               BLUE_GENE_L, WL)
+        small = alone_cost(grid, grid.full_rect(), 100, 100, torus, nodes,
+                           BLUE_GENE_L, WL)
+        large = alone_cost(grid, grid.full_rect(), 400, 400, torus, nodes,
+                           BLUE_GENE_L, WL)
         assert large.time > small.time
 
 
@@ -71,10 +80,9 @@ class TestConcurrentCommCosts:
         placement = PartitionMapping().place(grid, space, rects)
         nodes = placement.vector
         domains = [(200, 200), (200, 200)]
-        conc = concurrent_comm_costs(grid, rects, domains, torus, nodes,
-                                     BLUE_GENE_L, WL)
+        conc = comm_costs(grid, rects, domains, torus, nodes, BLUE_GENE_L, WL)
         for rect, dom, c in zip(rects, domains, conc):
-            alone = halo_comm_cost(grid, rect, *dom, torus, nodes, BLUE_GENE_L, WL)
+            alone = alone_cost(grid, rect, *dom, torus, nodes, BLUE_GENE_L, WL)
             assert c.time == pytest.approx(alone.time, rel=0.01)
 
     def test_oblivious_interleaving_costs_more(self):
@@ -84,10 +92,9 @@ class TestConcurrentCommCosts:
         grid, torus, nodes = setup()
         rects = [GridRect(0, 0, 4, 8), GridRect(4, 0, 4, 8)]
         domains = [(300, 300), (300, 300)]
-        conc = concurrent_comm_costs(grid, rects, domains, torus, nodes,
-                                     BLUE_GENE_L, WL)
+        conc = comm_costs(grid, rects, domains, torus, nodes, BLUE_GENE_L, WL)
         alone = [
-            halo_comm_cost(grid, r, *d, torus, nodes, BLUE_GENE_L, WL)
+            alone_cost(grid, r, *d, torus, nodes, BLUE_GENE_L, WL)
             for r, d in zip(rects, domains)
         ]
         assert sum(c.time for c in conc) >= sum(a.time for a in alone)
@@ -96,6 +103,40 @@ class TestConcurrentCommCosts:
         grid, torus, nodes = setup()
         rects = [GridRect(0, 0, 4, 8), GridRect(4, 0, 2, 8), GridRect(6, 0, 2, 8)]
         domains = [(100, 100), (80, 80), (60, 60)]
-        conc = concurrent_comm_costs(grid, rects, domains, torus, nodes,
-                                     BLUE_GENE_L, WL)
+        conc = comm_costs(grid, rects, domains, torus, nodes, BLUE_GENE_L, WL)
         assert len(conc) == 3
+
+    def test_empty_exchange_is_zero_among_live_ones(self):
+        grid, torus, nodes = setup()
+        rects = [GridRect(0, 0, 1, 1), GridRect(4, 0, 4, 8)]
+        domains = [(100, 100), (200, 200)]
+        conc = comm_costs(grid, rects, domains, torus, nodes, BLUE_GENE_L, WL)
+        assert conc[0] == CommCost.zero()
+        assert conc[1] == alone_cost(
+            grid, rects[1], *domains[1], torus, nodes, BLUE_GENE_L, WL
+        )
+
+    def test_concurrent_set_leaves_cached_loads_read_only(self):
+        """Summing a set's loads never writes into a cached vector."""
+        grid, torus, nodes = setup()
+        rects = [GridRect(0, 0, 4, 8), GridRect(4, 0, 2, 8), GridRect(6, 0, 2, 8)]
+        domains = [(300, 300), (80, 80), (60, 60)]
+        alone = [
+            alone_cost(grid, r, *d, torus, nodes, BLUE_GENE_L, WL)
+            for r, d in zip(rects, domains)
+        ]
+        cached = [
+            VECTOR.route_exchange(torus, nodes, halo_batch(grid, r, *d, WL.halo))[1]
+            for r, d in zip(rects, domains)
+        ]
+        before = [loads.array.copy() for loads in cached]
+        conc = comm_costs(grid, rects, domains, torus, nodes, BLUE_GENE_L, WL)
+        assert conc[0].max_link_bytes == sum(before).max()
+        for loads, values in zip(cached, before):
+            assert not loads.array.flags.writeable
+            np.testing.assert_array_equal(loads.array, values)
+        # Pricing again alone still sees only each exchange's own loads.
+        assert [
+            alone_cost(grid, r, *d, torus, nodes, BLUE_GENE_L, WL)
+            for r, d in zip(rects, domains)
+        ] == alone

@@ -1,14 +1,10 @@
 """Cross-engine regressions on the perfsim comm-cost layer.
 
-Two invariants, each checked on the production comm-cost functions
-(``vector``) and on the same pricing composed from the reference
-simulator (``scalar``):
-
-* ``concurrent_comm_costs`` with a single sibling must equal
-  ``halo_comm_cost`` — the shared-load accounting adds nothing when
-  there is nothing to share with.
-* Production and reference must produce identical ``CommCost`` values
-  for the same configuration (field-exact, floats included).
+Production :func:`~repro.perfsim.commcost.comm_costs` (``vector``) and
+the same pricing composed from the reference simulator (``scalar``) must
+produce identical ``CommCost`` values for the same exchange set
+(field-exact, floats included), from a lone domain to concurrent
+siblings.
 """
 
 import pytest
@@ -16,7 +12,7 @@ import pytest
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.netsim.engine import reset_route_cache
-from repro.perfsim.commcost import CommCost, concurrent_comm_costs, halo_comm_cost
+from repro.perfsim.commcost import CommCost, comm_costs
 from repro.perfsim.params import WorkloadParams
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.machines import BLUE_GENE_L
@@ -46,8 +42,8 @@ def _cost(est, rounds):
     )
 
 
-def reference_concurrent_costs(grid, rects, domains, torus, nodes, machine, workload):
-    """``concurrent_comm_costs`` composed from the reference simulator."""
+def reference_comm_costs(grid, rects, domains, torus, nodes, machine, workload):
+    """``comm_costs`` composed from the reference simulator."""
     coords = [tuple(row) for row in nodes.coords.tolist()]
     per_sibling = []
     shared = ref.LinkLoads()
@@ -64,18 +60,7 @@ def reference_concurrent_costs(grid, rects, domains, torus, nodes, machine, work
     ]
 
 
-def reference_halo_cost(grid, rect, nx, ny, torus, nodes, machine, workload):
-    """``halo_comm_cost`` composed from the reference simulator."""
-    (cost,) = reference_concurrent_costs(
-        grid, [rect], [(nx, ny)], torus, nodes, machine, workload
-    )
-    return cost
-
-
-COSTS = {
-    "vector": (halo_comm_cost, concurrent_comm_costs),
-    "scalar": (reference_halo_cost, reference_concurrent_costs),
-}
+COSTS = {"vector": comm_costs, "scalar": reference_comm_costs}
 
 
 def setup(grid_shape=(8, 8), torus_dims=(4, 4, 4), rpn=1):
@@ -86,34 +71,21 @@ def setup(grid_shape=(8, 8), torus_dims=(4, 4, 4), rpn=1):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_single_sibling_concurrent_equals_alone(engine):
-    """Shared-load accounting sanity: one sibling shares with nobody."""
-    halo_cost, concurrent_costs = COSTS[engine]
-    grid, torus, nodes = setup()
-    rect = GridRect(0, 0, 8, 4)
-    domain = (300, 200)
-    alone = halo_cost(grid, rect, *domain, torus, nodes, BLUE_GENE_L, WL)
-    (conc,) = concurrent_costs(grid, [rect], [domain], torus, nodes, BLUE_GENE_L, WL)
-    assert conc == alone
-
-
-@pytest.mark.parametrize("engine", ENGINES)
 def test_single_rank_zero_either_engine(engine):
-    halo_cost, _ = COSTS[engine]
     grid, torus, nodes = setup()
-    c = halo_cost(
-        grid, GridRect(0, 0, 1, 1), 100, 100, torus, nodes, BLUE_GENE_L, WL
+    costs = COSTS[engine](
+        grid, [GridRect(0, 0, 1, 1)], [(100, 100)], torus, nodes, BLUE_GENE_L, WL
     )
-    assert c.time == 0.0
+    assert costs == [CommCost.zero()]
 
 
 def test_engines_agree_on_halo_cost():
     grid, torus, nodes = setup(rpn=1)
     costs = {
-        engine: halo_cost(
-            grid, grid.full_rect(), 415, 445, torus, nodes, BLUE_GENE_L, WL
+        engine: costs_of(
+            grid, [grid.full_rect()], [(415, 445)], torus, nodes, BLUE_GENE_L, WL
         )
-        for engine, (halo_cost, _) in COSTS.items()
+        for engine, costs_of in COSTS.items()
     }
     assert costs["vector"] == costs["scalar"]
 
@@ -123,9 +95,7 @@ def test_engines_agree_on_concurrent_costs():
     rects = [GridRect(0, 0, 4, 8), GridRect(4, 0, 4, 8)]
     domains = [(200, 200), (300, 250)]
     results = {
-        engine: concurrent_costs(
-            grid, rects, domains, torus, nodes, BLUE_GENE_L, WL
-        )
-        for engine, (_, concurrent_costs) in COSTS.items()
+        engine: costs_of(grid, rects, domains, torus, nodes, BLUE_GENE_L, WL)
+        for engine, costs_of in COSTS.items()
     }
     assert results["vector"] == results["scalar"]

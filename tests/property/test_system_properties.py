@@ -12,8 +12,8 @@ from repro.core.mapping.partition_map import PartitionMapping
 from repro.core.allocation.partition import partition_grid
 from repro.runtime.decomposition import decompose, split_counts
 from repro.runtime.process_grid import ProcessGrid
-from repro.topology.routing import path_links
 from repro.topology.torus import Torus3D
+from repro.verify.reference.netsim import path_links
 from repro.wrf.fields import ModelState
 from repro.wrf.solver import ShallowWaterSolver, SolverParams
 

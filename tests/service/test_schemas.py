@@ -47,6 +47,7 @@ from repro.service.schemas import (
     to_payload,
 )
 from repro.topology.machines import MACHINES
+from repro.workloads.paper_configs import CONFIGS
 
 # ----------------------------------------------------------------------
 # Instance strategies, one per schema
@@ -424,6 +425,6 @@ class TestStrictParsing:
 
     def test_wire_names_are_the_lookup_tables_keys(self):
         # The schema declares the names; the service looks them up.
-        assert (MACHINE_NAMES, MAPPING_NAMES) == (
-            tuple(sorted(MACHINES)), tuple(sorted(MAPPINGS)),
+        assert (CONFIG_NAMES, MACHINE_NAMES, MAPPING_NAMES) == (
+            tuple(CONFIGS), tuple(sorted(MACHINES)), tuple(sorted(MAPPINGS)),
         )

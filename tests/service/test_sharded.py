@@ -7,7 +7,8 @@ The acceptance contract for the multi-process deployment:
   never *what* the answer is);
 * errors the router answers itself (unknown routes, bad framing) are
   byte-identical to the single-process server's, and a rejected body
-  never poisons its keep-alive connection;
+  never poisons its keep-alive connection: the reply says
+  ``Connection: close``, so a pooled client never reuses it;
 * a shard crash mid-load loses no requests and produces no malformed
   response — the router fails open to live shards while the supervisor
   restarts the dead one warm;
@@ -162,6 +163,23 @@ class TestRouterEdge:
             404, 405, 405, 200, 411, 400, 413,
         ]
         assert have == want
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "router"])
+    def test_dropped_connection_is_announced(self, sharded):
+        """A reply after which the edge hangs up says ``Connection: close``,
+        so a pooled client retires the socket instead of reusing it."""
+        server = (
+            ShardedPlanningService(shards=1, warm=False) if sharded
+            else PlanningServer()
+        )
+        with server, ServiceClient(server.url, pool_size=1) as client:
+            rejected = client.post("/healthz", {})
+            follow_on = client.plan({"ranks": 64})
+            stats = client.pool_stats()
+        assert rejected.status == 405
+        assert rejected.headers.get("Connection") == "close"
+        assert follow_on.status == 200
+        assert (stats.created, stats.reused, stats.retired) == (2, 0, 1)
 
 
 class TestShardFailure:

