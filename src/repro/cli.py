@@ -74,17 +74,24 @@ _EXPERIMENTS = {
 }
 
 
-def _load_domains(args) -> tuple[DomainSpec, List[DomainSpec]]:
+#: The built-in configuration a command runs when given no domain source.
+DEFAULT_CONFIG = "table2"
+
+
+def _load_domains(args) -> tuple[str, DomainSpec, List[DomainSpec]]:
+    """``(name, parent, nests)`` of ``--namelist`` or ``--config``."""
     if args.namelist:
+        name = "namelist"
         with open(args.namelist) as fh:
             specs = domains_from_namelist(parse_namelist(fh.read()))
     else:
-        config = CONFIGS[args.config]
+        name = args.config or DEFAULT_CONFIG
+        config = CONFIGS[name]
         specs = [config.parent, *config.siblings]
     parent, *nests = specs
     if not nests:
         raise ReproError("configuration has no nests")
-    return parent, nests
+    return name, parent, nests
 
 
 def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
@@ -122,15 +129,15 @@ def _add_domain_source(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group()
     src.add_argument("--namelist", help="WRF-style namelist.input file")
     src.add_argument(
-        "--config", default="table2", choices=list(CONFIGS),
-        help="built-in paper configuration (default: table2)",
+        "--config", choices=list(CONFIGS),
+        help=f"built-in paper configuration (default: {DEFAULT_CONFIG})",
     )
 
 
 def _cmd_simulate(args) -> int:
     from repro.analysis.planner import simulate_strategies
 
-    parent, nests = _load_domains(args)
+    _, parent, nests = _load_domains(args)
     machine = MACHINES[args.machine]
     grid = grid_for(args.ranks)
     seq, par = simulate_strategies(
@@ -160,7 +167,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    parent, nests = _load_domains(args)
+    _, parent, nests = _load_domains(args)
     plan = parallel_plan(
         grid_for(args.ranks), parent, nests, [n.points for n in nests]
     )
@@ -208,8 +215,8 @@ def _cmd_recommend(args) -> int:
     from repro.analysis.planner import recommend
     from repro.workloads.regions import Configuration
 
-    parent, nests = _load_domains(args)
-    config = Configuration(args.config or "namelist", parent, tuple(nests))
+    name, parent, nests = _load_domains(args)
+    config = Configuration(name, parent, tuple(nests))
     io = None if args.io == "none" else IoModel(args.io)
     plan = recommend(
         config,

@@ -28,8 +28,8 @@ from repro.netsim.engine import (
     link_id_of,
     link_of_id,
     reset_route_cache,
+    route_batch,
     route_cache_stats,
-    route_exchange_streamed,
 )
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "mem_budget_bytes",
     "placement_cache_budget_bytes",
     "route_cache_budget_bytes",
-    "route_exchange_streamed",
+    "route_batch",
     "CommEstimate",
     "traffic_metrics",
     "TrafficMetrics",

@@ -11,11 +11,15 @@ paper's mappings relieve. A domain that exchanges alone (the parent
 step, a sequential sibling, a profiling run) is the set of one, priced
 against its own loads.
 
-Routing and pricing go through the vectorized network engine
-(:data:`repro.netsim.engine.VECTOR`). Callers pass the placement's
+The whole set is one lookup in the vectorized network engine
+(:meth:`repro.netsim.engine.VectorBackend.route_exchange`), keyed by the
+set's structure: the grid width, each member's ``(rect, nx, ny)``, the
+halo spec, the placement's digest and the machine's pricing constants.
+An entry holds every member's priced round, so a repeated set — every
+iteration and request that reuses a plan and placement — builds, routes
+and prices nothing. Callers pass the placement's
 :attr:`~repro.core.mapping.base.Placement.vector`, built once per
-placement, so one digest serves every exchange of an iteration and every
-iteration that reuses the placement.
+placement, so one digest serves every exchange that reuses it.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.netsim.contention import CommEstimate
-from repro.netsim.engine import VECTOR, LinkLoadVector, PlacementVector
+from repro.netsim.engine import VECTOR, PlacementVector
 from repro.obs.trace import tracer
 from repro.perfsim.params import WorkloadParams
-from repro.runtime.halo import halo_batch
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.machines import Machine
 from repro.topology.torus import Torus3D
@@ -80,33 +83,24 @@ def comm_costs(
     Domain *i* (``domains[i]`` points over ``rects[i]``) exchanges its
     halo while all the others do. Link loads accumulate over every
     exchange of the set; each domain's round time is then the max over
-    *its own* messages under those shared loads. An exchange with no
-    messages costs :meth:`CommCost.zero` and is neither routed nor priced.
+    *its own* messages under those shared loads. A one-rank sub-grid has
+    no neighbour: its exchange costs :meth:`CommCost.zero` and takes no
+    part in the set.
     """
-    batches = [
-        halo_batch(grid, rect, nx, ny, workload.halo)
-        for rect, (nx, ny) in zip(rects, domains)
-    ]
-    costs = [CommCost.zero()] * len(batches)
-    live = [i for i, msgs in enumerate(batches) if msgs]
+    costs = [CommCost.zero()] * len(rects)
+    live = [i for i, rect in enumerate(rects) if rect.area > 1]
     if not live:
         return costs
+    exchanges = tuple((rects[i], *domains[i]) for i in live)
     tr = tracer()
-    with tr.span(
-        "netsim.exchange",
-        {"exchanges": len(live), "messages": sum(len(batches[i]) for i in live)}
-        if tr.enabled else None,
-    ):
-        routed = [VECTOR.route_exchange(torus, placement, batches[i]) for i in live]
-        # Cached load vectors are shared and read-only: the sum is a new
-        # array, and a lone exchange is priced against its own vector.
-        loads = routed[0][1]
-        if len(routed) > 1:
-            loads = LinkLoadVector(
-                torus, sum((lv.array for _, lv in routed[1:]), loads.array)
-            )
-        rounds = workload.halo.rounds_per_step
-        for i, (exchange, _) in zip(live, routed):
-            est = VECTOR.round_estimate(exchange, loads, machine)
-            costs[i] = _cost_from_estimate(est, rounds)
+    attrs = {"exchanges": len(live)} if tr.enabled else None
+    with tr.span("netsim.exchange", attrs):
+        routed, _, estimates = VECTOR.route_exchange(
+            torus, placement, grid, exchanges, workload.halo, machine
+        )
+        if attrs is not None:
+            attrs["messages"] = routed.num_messages
+    rounds = workload.halo.rounds_per_step
+    for i, est in zip(live, estimates):
+        costs[i] = _cost_from_estimate(est, rounds)
     return costs

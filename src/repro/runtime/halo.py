@@ -17,7 +17,6 @@ builder it replaced is the oracle in :mod:`repro.verify.reference.halo`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,14 +88,6 @@ class HaloBatch:
     def __len__(self) -> int:
         return len(self.src)
 
-    def digest(self) -> bytes:
-        """Digest of the column bytes; keys the network route cache."""
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.src.tobytes())
-        h.update(self.dst.tobytes())
-        h.update(self.nbytes.tobytes())
-        return h.digest()
-
 
 def halo_batch(
     grid: ProcessGrid,
@@ -111,6 +102,11 @@ def halo_batch(
     ``width x height`` sub-grid. Every rank sends to each existing
     neighbour (boundary tiles have fewer neighbours). Message sizes use
     the *sender's* tile edge, matching how WRF packs its halo strips.
+
+    A pure function of ``grid.px``, *rect*, *nx*, *ny* and *spec*: the
+    route cache keys an exchange by exactly these
+    (:meth:`~repro.netsim.engine.VectorBackend.route_exchange`), so a new
+    input here must join that key.
 
     Built without a Python loop: per-cell candidate arrays for the four
     directions are stacked as ``(rows, cols, 4)`` and flattened in C

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.scheduler.strategies import SequentialStrategy
-from repro.netsim.engine import VECTOR, route_exchange_streamed
+from repro.netsim.engine import VECTOR, route_batch
 from repro.netsim.metrics import traffic_metrics
 from repro.perfsim.simulate import IterationReport, effective_rect, simulate_iteration
 from repro.runtime.decomposition import grid_for
@@ -359,7 +359,8 @@ def check_netsim_parity(run: ScenarioRun) -> None:
 
     Each path builds its own messages from the same rectangle and routes
     them over the same placement: a divergence in halo construction,
-    routing, link loads, or pricing fails the check.
+    routing, link loads, or pricing fails the check. The estimate the
+    route cache holds for that exchange must match too.
     """
     grid, rect, nx, ny = _parity_exchange(run)
     batch = halo_batch(grid, rect, nx, ny, HaloSpec())
@@ -369,7 +370,7 @@ def check_netsim_parity(run: ScenarioRun) -> None:
     torus = run.placement.space.torus
     placement = run.placement
 
-    routed_v, loads_v = VECTOR.route_exchange(torus, placement.vector, batch)
+    routed_v, loads_v = route_batch(torus, placement.vector, batch)
     routed_r, loads_r = ref_netsim.route_messages(torus, node_tuples(placement), msgs)
     m_v = traffic_metrics(routed_v, loads_v)
     m_r = ref_netsim.traffic_metrics(routed_r, loads_r)
@@ -389,17 +390,25 @@ def check_netsim_parity(run: ScenarioRun) -> None:
         f"production and reference disagree on round estimate: "
         f"production {est_v}, reference {est_r}",
     )
+    # The route cache's entry for the same exchange, keyed by structure.
+    _, _, (est_c,) = VECTOR.route_exchange(
+        torus, placement.vector, grid, ((rect, nx, ny),), HaloSpec(), run.machine
+    )
+    _require(
+        est_c == est_r,
+        f"route cache and reference disagree on round estimate: "
+        f"cached {est_c}, reference {est_r}",
+    )
 
 
 @oracle("netsim-streaming-parity")
 def check_netsim_streaming_parity(run: ScenarioRun) -> None:
     """Streamed routing is bit-identical to the one-shot path.
 
-    Routes a scenario-drawn exchange twice: once through the cached
-    one-shot engine, once through
-    :func:`~repro.netsim.engine.route_exchange_streamed` with a hop limit
-    small enough to force chunking. The per-link load vectors and the
-    round estimate must match exactly — the memory budget may change
+    Routes a scenario-drawn exchange twice through
+    :func:`~repro.netsim.engine.route_batch`: once one-shot, once with a
+    hop limit small enough to force chunking. The per-link load vectors
+    and the round estimate must match exactly — the memory budget may change
     *how* the answer is computed, never the answer (see
     ``docs/cost_model.md``).
     """
@@ -410,10 +419,8 @@ def check_netsim_streaming_parity(run: ScenarioRun) -> None:
     torus = run.placement.space.torus
     vector = run.placement.vector
 
-    routed_o, loads_o = VECTOR.route_exchange(torus, vector, batch)
-    routed_c, loads_c = route_exchange_streamed(
-        torus, vector, batch, max_expand_hops=7
-    )
+    routed_o, loads_o = route_batch(torus, vector, batch)
+    routed_c, loads_c = route_batch(torus, vector, batch, max_expand_hops=7)
     _require(
         bool((loads_c.array == loads_o.array).all()),
         "streamed link loads differ from the one-shot loads",

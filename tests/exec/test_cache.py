@@ -24,15 +24,11 @@ from repro.core.scheduler.strategies import SequentialStrategy
 from repro.exec.cache import BoundedCache, clear_caches
 from repro.exec.placementcache import _PLACEMENT_CACHE, cached_placement
 from repro.exec.plancache import _PLAN_CACHE, sequential_plan
-from repro.netsim.engine import (
-    _ROUTE_CACHE,
-    VECTOR,
-    PlacementVector,
-    route_exchange_streamed,
-)
+from repro.netsim.engine import _ROUTE_CACHE, VECTOR, PlacementVector, route_batch
 from repro.obs.metrics import registry
-from repro.runtime.halo import HaloBatch
-from repro.runtime.process_grid import ProcessGrid
+from repro.runtime.halo import HaloSpec, halo_batch
+from repro.runtime.process_grid import GridRect, ProcessGrid
+from repro.topology.machines import BLUE_GENE_L
 from repro.topology.torus import Torus3D
 from repro.wrf.grid import DomainSpec
 
@@ -48,11 +44,17 @@ _PLACE_GRID = ProcessGrid(8, 4)
 _SPACE = SlotSpace(Torus3D((4, 4, 2)), 1)
 _TORUS = Torus3D((4, 4, 4))
 _NODES = PlacementVector(_TORUS, np.array([(0, 0, 0), (2, 2, 2)], dtype=np.int64))
-_MSGS = HaloBatch(
-    src=np.array([0], dtype=np.int64),
-    dst=np.array([1], dtype=np.int64),
-    nbytes=np.array([100], dtype=np.int64),
-)
+_ROUTE_GRID = ProcessGrid(2, 1)
+_RECT = GridRect(0, 0, 2, 1)
+
+
+def _route_entry():
+    """An uncached route-cache entry: routed exchange, loads, estimates."""
+    routed, loads = route_batch(
+        _TORUS, _NODES, halo_batch(_ROUTE_GRID, _RECT, 20, 10, HaloSpec())
+    )
+    return routed, loads, (VECTOR.round_estimate(routed, loads, BLUE_GENE_L),)
+
 
 _FIELDS = ("hits", "misses", "evictions", "resident_bytes")
 
@@ -79,8 +81,10 @@ CASES = {
     ),
     "route": Case(
         _ROUTE_CACHE,
-        lambda: VECTOR.route_exchange(_TORUS, _NODES, _MSGS),
-        lambda: route_exchange_streamed(_TORUS, _NODES, _MSGS),
+        lambda: VECTOR.route_exchange(
+            _TORUS, _NODES, _ROUTE_GRID, ((_RECT, 20, 10),), HaloSpec(), BLUE_GENE_L
+        ),
+        _route_entry,
     ),
 }
 

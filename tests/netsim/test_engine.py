@@ -10,9 +10,12 @@ from repro.netsim.engine import (
     link_id_of,
     link_of_id,
     reset_route_cache,
+    route_batch,
     route_cache_stats,
 )
-from repro.runtime.halo import HaloBatch
+from repro.runtime.halo import HaloBatch, HaloSpec
+from repro.runtime.process_grid import GridRect, ProcessGrid
+from repro.topology.machines import BLUE_GENE_L
 from repro.topology.torus import Link, Torus3D
 
 
@@ -27,6 +30,16 @@ def vector(torus, *coords):
     return PlacementVector(
         torus, np.asarray(coords, dtype=np.int64).reshape(len(coords), 3)
     )
+
+
+#: A two-rank grid: rank 0 and rank 1 swap one east/west halo strip each.
+GRID = ProcessGrid(2, 1)
+PAIR = ((GridRect(0, 0, 2, 1), 20, 10),)
+
+
+def lookup(torus, placed, exchanges=PAIR, spec=HaloSpec()):
+    """The structural route-cache lookup of *exchanges* on *GRID*."""
+    return VECTOR.route_exchange(torus, placed, GRID, exchanges, spec, BLUE_GENE_L)
 
 
 @pytest.fixture(autouse=True)
@@ -75,7 +88,7 @@ class TestLinkLoadVector:
     def test_mirrors_scalar_api(self):
         torus = Torus3D((4, 1, 1))
         placed = vector(torus, (0, 0, 0), (2, 0, 0))
-        _, loads = VECTOR.route_exchange(torus, placed, batch((0, 1, 7)))
+        _, loads = route_batch(torus, placed, batch((0, 1, 7)))
         assert loads.load(Link((0, 0, 0), 0, 1)) == 7
         assert loads.load(Link((3, 0, 0), 0, 1)) == 0
         assert loads.max_load() == 7
@@ -87,38 +100,37 @@ class TestLinkLoadVector:
 class TestRouteCache:
     def test_hit_on_identical_exchange(self):
         torus = Torus3D((4, 4, 4))
-        first = VECTOR.route_exchange(
-            torus, vector(torus, (0, 0, 0), (2, 2, 2)), batch((0, 1, 100))
+        first = lookup(torus, vector(torus, (0, 0, 0), (2, 2, 2)))
+        # An equal placement and structure built separately hit: the key
+        # is the placement digest and the exchange's structure.
+        second = lookup(
+            torus,
+            vector(torus, (0, 0, 0), (2, 2, 2)),
+            ((GridRect(0, 0, 2, 1), 20, 10),),
         )
-        # An equal placement and batch built separately hit: the key is
-        # the digest.
-        second = VECTOR.route_exchange(
-            torus, vector(torus, (0, 0, 0), (2, 2, 2)), batch((0, 1, 100))
-        )
-        assert second[0] is first[0]
-        assert second[1] is first[1]
+        assert second is first
         stats = route_cache_stats()
         assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
         assert stats.hit_rate == 0.5
 
     def test_miss_on_different_placement(self):
         torus = Torus3D((4, 4, 4))
-        msgs = batch((0, 1, 100))
-        VECTOR.route_exchange(torus, vector(torus, (0, 0, 0), (2, 2, 2)), msgs)
-        VECTOR.route_exchange(torus, vector(torus, (0, 0, 0), (2, 2, 1)), msgs)
+        lookup(torus, vector(torus, (0, 0, 0), (2, 2, 2)))
+        lookup(torus, vector(torus, (0, 0, 0), (2, 2, 1)))
         stats = route_cache_stats()
         assert (stats.hits, stats.misses) == (0, 2)
 
     def test_miss_on_different_bytes(self):
         torus = Torus3D((4, 4, 4))
         placed = vector(torus, (0, 0, 0), (2, 2, 2))
-        VECTOR.route_exchange(torus, placed, batch((0, 1, 100)))
-        VECTOR.route_exchange(torus, placed, batch((0, 1, 101)))
+        first = lookup(torus, placed)
+        second = lookup(torus, placed, spec=HaloSpec(levels=36))
         assert route_cache_stats().misses == 2
+        assert second[0].nbytes.tolist() != first[0].nbytes.tolist()
 
     def test_reset_clears_counters(self):
         torus = Torus3D((2, 2, 2))
-        VECTOR.route_exchange(torus, vector(torus, (0, 0, 0)), batch())
+        lookup(torus, vector(torus, (0, 0, 0), (1, 0, 0)))
         reset_route_cache()
         stats = route_cache_stats()
         assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.engine import VECTOR, PlacementVector
+from repro.netsim.engine import VECTOR, PlacementVector, route_batch
 from repro.netsim.metrics import traffic_metrics
 from repro.topology.machines import BLUE_GENE_L, BLUE_GENE_P
 from repro.topology.torus import Torus3D
@@ -59,7 +59,7 @@ def vector_route(torus, nodes, msgs):
     placed = PlacementVector(
         torus, np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
     )
-    return VECTOR.route_exchange(torus, placed, from_messages(msgs))
+    return route_batch(torus, placed, from_messages(msgs))
 
 
 def both_engines(torus, nodes, msgs):
@@ -153,7 +153,7 @@ class TestFuzzedScenarioParity:
         routed_s, loads_s = ref.route_messages(
             torus, node_tuples(run.placement), halo_messages(*shape)
         )
-        routed_v, loads_v = VECTOR.route_exchange(
+        routed_v, loads_v = route_batch(
             torus, run.placement.vector, halo_batch(*shape)
         )
         assert ref.traffic_metrics(routed_s, loads_s) == traffic_metrics(

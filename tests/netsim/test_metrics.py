@@ -2,16 +2,15 @@
 
 import numpy as np
 
-from repro.netsim.engine import VECTOR, PlacementVector, reset_route_cache
+from repro.netsim.engine import PlacementVector, route_batch
 from repro.netsim.metrics import traffic_metrics
 from repro.topology.torus import Torus3D
 from repro.verify.reference.halo import HaloMessage, from_messages
 
 
 def _route(torus, placement, msgs):
-    reset_route_cache()
     placed = PlacementVector(torus, np.asarray(placement))
-    return VECTOR.route_exchange(torus, placed, from_messages(msgs))
+    return route_batch(torus, placed, from_messages(msgs))
 
 
 class TestTrafficMetrics:

@@ -2,10 +2,10 @@
 
 The streaming engine's whole claim is *bit-identicality*: chunked
 expansion under any ``max_expand_hops`` and the one-shot path must
-produce the same per-link loads, the same
-round estimate, and the same route-cache digests. These suites drive all
-of that against random exchanges, plus the overflow guards at the dtype
-boundaries (>2^31 widens, never wraps; >=2^53 raises).
+produce the same per-link loads and the same round estimate, and the
+memory budget must never change a route-cache key. These suites drive
+all of that against random exchanges, plus the overflow guards at the
+dtype boundaries (>2^31 widens, never wraps; >=2^53 raises).
 
 Cases are drawn as coordinate tuples and :class:`HaloMessage` lists (the
 reference simulator's form); the engine gets the same exchange as a
@@ -22,29 +22,27 @@ from repro.netsim.engine import (
     VECTOR,
     PlacementVector,
     reset_route_cache,
+    route_batch,
     route_cache_stats,
-    route_exchange_streamed,
 )
+from repro.runtime.halo import HaloSpec
+from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.machines import BLUE_GENE_L
 from repro.topology.torus import Torus3D
 from repro.verify.reference import netsim as ref_netsim
 from repro.verify.reference.halo import HaloMessage, from_messages
 
 
+def placed(torus, nodes):
+    """The engine's placement form of per-rank node coordinates."""
+    return PlacementVector(
+        torus, np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
+    )
+
+
 def streamed(torus, nodes, msgs, **kwargs):
-    """:func:`route_exchange_streamed` on the production form of a case."""
-    placed = PlacementVector(
-        torus, np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
-    )
-    return route_exchange_streamed(torus, placed, from_messages(msgs), **kwargs)
-
-
-def cached_route(torus, nodes, msgs):
-    """The cached production route of a case."""
-    placed = PlacementVector(
-        torus, np.asarray(nodes, dtype=np.int64).reshape(len(nodes), 3)
-    )
-    return VECTOR.route_exchange(torus, placed, from_messages(msgs))
+    """:func:`route_batch` on the production form of a case."""
+    return route_batch(torus, placed(torus, nodes), from_messages(msgs), **kwargs)
 
 
 @st.composite
@@ -145,8 +143,7 @@ def test_round_time_identical_under_either_backend(backend):
     torus = Torus3D((3, 3, 2))
     nodes = [torus.coord_of(i % torus.num_nodes) for i in range(12)]
     msgs = [HaloMessage(i, (i * 5 + 1) % 12, 1000 + i) for i in range(12)]
-    reset_route_cache()
-    routed_v, loads_v = cached_route(torus, nodes, msgs)
+    routed_v, loads_v = streamed(torus, nodes, msgs)
     ref_r, ref_l = ref_netsim.route_messages(torus, nodes, msgs)
     if backend == "vector":
         est = VECTOR.round_estimate(routed_v, loads_v, BLUE_GENE_L)
@@ -156,19 +153,26 @@ def test_round_time_identical_under_either_backend(backend):
 
 
 # ----------------------------------------------------------------------
-# Route-cache digests
+# Route-cache keys
 # ----------------------------------------------------------------------
 def test_budget_env_does_not_change_cache_digest(monkeypatch):
     """The memory budget changes how routes expand, never cache identity."""
     torus = Torus3D((4, 4, 2))
-    nodes = [torus.coord_of(i % torus.num_nodes) for i in range(16)]
-    msgs = [HaloMessage(i, (i + 5) % 16, 4096) for i in range(16)]
+    nodes = placed(torus, [torus.coord_of(i % torus.num_nodes) for i in range(16)])
+    exchanges = ((GridRect(0, 0, 4, 4), 64, 48),)
+
+    def lookup():
+        return VECTOR.route_exchange(
+            torus, nodes, ProcessGrid(4, 4), exchanges, HaloSpec(), BLUE_GENE_L
+        )
+
     reset_route_cache()
-    cached_route(torus, nodes, msgs)
+    first = lookup()
     monkeypatch.setenv("REPRO_NETSIM_MEM_MB", "1")
-    cached_route(torus, nodes, msgs)
+    assert lookup() is first
     stats = route_cache_stats()
     assert (stats.hits, stats.misses) == (1, 1)
+    reset_route_cache()
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +194,7 @@ def test_loads_at_exact_limit_raise():
     nodes = [torus.coord_of(0), torus.coord_of(1)]
     msgs = [HaloMessage(0, 1, EXACT_BYTES_LIMIT)]
     with pytest.raises(OverflowError, match="2\\*\\*53"):
-        cached_route(torus, nodes, msgs)
+        streamed(torus, nodes, msgs)
     with pytest.raises(OverflowError):
         streamed(torus, nodes, msgs, max_expand_hops=1)
 
@@ -199,8 +203,7 @@ def test_loads_just_below_exact_limit_pass():
     torus = Torus3D((2, 1, 1))
     nodes = [torus.coord_of(0), torus.coord_of(1)]
     msgs = [HaloMessage(0, 1, EXACT_BYTES_LIMIT - 1)]
-    reset_route_cache()
-    _, loads = cached_route(torus, nodes, msgs)
+    _, loads = streamed(torus, nodes, msgs)
     assert loads.max_load() == EXACT_BYTES_LIMIT - 1
 
 
@@ -209,8 +212,7 @@ def test_index_columns_are_narrow():
     torus = Torus3D((3, 3, 3))
     nodes = [torus.coord_of(i % torus.num_nodes) for i in range(9)]
     msgs = [HaloMessage(i, (i + 2) % 9, 100) for i in range(9)]
-    reset_route_cache()
-    exchange, _ = cached_route(torus, nodes, msgs)
+    exchange, _ = streamed(torus, nodes, msgs)
     assert exchange.hops.dtype == np.int32
     assert exchange.pair_inverse.dtype == np.int32
     assert exchange.pair_hops.dtype == np.int32

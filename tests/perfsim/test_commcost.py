@@ -9,7 +9,6 @@ from repro.core.mapping.partition_map import PartitionMapping
 from repro.netsim.engine import VECTOR
 from repro.perfsim.commcost import CommCost, comm_costs
 from repro.perfsim.params import WorkloadParams
-from repro.runtime.halo import halo_batch
 from repro.runtime.process_grid import GridRect, ProcessGrid
 from repro.topology.machines import BLUE_GENE_L
 from repro.topology.torus import Torus3D
@@ -117,7 +116,7 @@ class TestConcurrentCommCosts:
         )
 
     def test_concurrent_set_leaves_cached_loads_read_only(self):
-        """Summing a set's loads never writes into a cached vector."""
+        """A set's summed loads never write into a member's cached vector."""
         grid, torus, nodes = setup()
         rects = [GridRect(0, 0, 4, 8), GridRect(4, 0, 2, 8), GridRect(6, 0, 2, 8)]
         domains = [(300, 300), (80, 80), (60, 60)]
@@ -125,16 +124,23 @@ class TestConcurrentCommCosts:
             alone_cost(grid, r, *d, torus, nodes, BLUE_GENE_L, WL)
             for r, d in zip(rects, domains)
         ]
-        cached = [
-            VECTOR.route_exchange(torus, nodes, halo_batch(grid, r, *d, WL.halo))[1]
-            for r, d in zip(rects, domains)
-        ]
+
+        def lookup(*members):
+            return VECTOR.route_exchange(
+                torus, nodes, grid, members, WL.halo, BLUE_GENE_L
+            )
+
+        cached = [lookup((r, *d))[1] for r, d in zip(rects, domains)]
         before = [loads.array.copy() for loads in cached]
         conc = comm_costs(grid, rects, domains, torus, nodes, BLUE_GENE_L, WL)
         assert conc[0].max_link_bytes == sum(before).max()
+        # The set's own entry holds the exact int64 sum of its members.
+        set_loads = lookup(*((r, *d) for r, d in zip(rects, domains)))[1]
+        np.testing.assert_array_equal(set_loads.array, sum(before))
         for loads, values in zip(cached, before):
             assert not loads.array.flags.writeable
             np.testing.assert_array_equal(loads.array, values)
+        assert not set_loads.array.flags.writeable
         # Pricing again alone still sees only each exchange's own loads.
         assert [
             alone_cost(grid, r, *d, torus, nodes, BLUE_GENE_L, WL)

@@ -69,14 +69,13 @@ def test_batch_roundtrip(case):
 @settings(max_examples=100, deadline=None)
 def test_halo_batch_dispatcher_identical_across_backends(case):
     """The production batch equals the reference list's column arrays,
-    dtype and cache digest included."""
+    dtype included."""
     grid, rect, nx, ny, spec = case
     v = halo_batch(grid, rect, nx, ny, spec)
     s = from_messages(halo_messages(grid, rect, nx, ny, spec))
     for col_v, col_s in ((v.src, s.src), (v.dst, s.dst), (v.nbytes, s.nbytes)):
         assert col_v.dtype == col_s.dtype == np.int64
         assert np.array_equal(col_v, col_s)
-    assert v.digest() == s.digest()
 
 
 def test_batch_arrays_read_only():

@@ -6,6 +6,20 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: A two-domain WRF namelist: a 100x100 parent and one 60x60 nest.
+NAMELIST = """
+&domains
+ max_dom = 2,
+ e_we = 100, 60,
+ e_sn = 100, 60,
+ dx = 24000,
+ parent_id = 0, 1,
+ i_parent_start = 1, 10,
+ j_parent_start = 1, 10,
+ parent_grid_ratio = 1, 3,
+/
+"""
+
 
 class TestSimulate:
     def test_default_run(self, capsys):
@@ -35,20 +49,7 @@ class TestSimulate:
 
     def test_namelist_source(self, tmp_path, capsys):
         nl = tmp_path / "namelist.input"
-        nl.write_text(
-            """
-&domains
- max_dom = 2,
- e_we = 100, 60,
- e_sn = 100, 60,
- dx = 24000,
- parent_id = 0, 1,
- i_parent_start = 1, 10,
- j_parent_start = 1, 10,
- parent_grid_ratio = 1, 3,
-/
-"""
-        )
+        nl.write_text(NAMELIST)
         assert main(["simulate", "--namelist", str(nl), "--ranks", "64"]) == 0
 
     def test_missing_namelist_errors(self, capsys):
@@ -169,6 +170,20 @@ class TestTrace:
 
 
 class TestRecommend:
+    def test_namelist_plan_is_titled_namelist(self, tmp_path, capsys):
+        nl = tmp_path / "namelist.input"
+        nl.write_text(NAMELIST)
+        assert main(["recommend", "--namelist", str(nl), "--max-ranks", "128"]) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert title == "Capacity plan for namelist on BlueGene/L"
+
+    @pytest.mark.parametrize("argv", [[], ["--config", "table2"]],
+                             ids=["default", "explicit"])
+    def test_config_plan_is_titled_by_config(self, argv, capsys):
+        assert main(["recommend", *argv, "--max-ranks", "128"]) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert title == "Capacity plan for table2 on BlueGene/L"
+
     def test_prints_recommendation(self, capsys):
         assert main(["recommend", "--config", "fig15",
                      "--min-ranks", "128", "--max-ranks", "256"]) == 0

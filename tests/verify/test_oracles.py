@@ -172,19 +172,34 @@ def test_one_message_halo_divergence_caught(good_run, monkeypatch):
         get_oracle("netsim-parity")(good_run)
 
 
+def test_cached_estimate_divergence_caught(good_run, monkeypatch):
+    """The route cache holds a different round time than the reference."""
+    real = oracle_mod.VECTOR.route_exchange
+
+    def slower(*args):
+        routed, loads, (est,) = real(*args)
+        return routed, loads, (dataclasses.replace(est, time=est.time * 2),)
+
+    monkeypatch.setattr(oracle_mod.VECTOR, "route_exchange", slower)
+    with pytest.raises(OracleViolation, match="route cache and reference"):
+        get_oracle("netsim-parity")(good_run)
+
+
 def test_one_byte_streaming_divergence_caught(good_run, monkeypatch):
     """The streamed path routes one extra byte on one inter-node message."""
-    real = oracle_mod.route_exchange_streamed
+    real = oracle_mod.route_batch
     nodes = good_run.placement.vector.coords
 
     def one_byte_more(torus, placed, batch, **kwargs):
+        if kwargs.get("max_expand_hops") is None:  # the one-shot side
+            return real(torus, placed, batch, **kwargs)
         crosses = (nodes[batch.src] != nodes[batch.dst]).any(axis=1)
         nbytes = batch.nbytes.copy()
         nbytes[np.flatnonzero(crosses)[0]] += 1
         bumped = HaloBatch(src=batch.src, dst=batch.dst, nbytes=nbytes)
         return real(torus, placed, bumped, **kwargs)
 
-    monkeypatch.setattr(oracle_mod, "route_exchange_streamed", one_byte_more)
+    monkeypatch.setattr(oracle_mod, "route_batch", one_byte_more)
     with pytest.raises(OracleViolation, match="streamed link loads differ"):
         get_oracle("netsim-streaming-parity")(good_run)
 
