@@ -12,6 +12,7 @@ physics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.runtime.halo import HaloSpec
 from repro.util.validation import check_positive_float, check_positive_int
@@ -56,8 +57,10 @@ class WorkloadParams:
     flops_per_cell: float = 8_000.0
     #: Vertical levels.
     levels: int = 35
-    #: Halo-exchange shape (width, rounds, bytes) — paper Sec 3.3.
-    halo: HaloSpec = field(default_factory=HaloSpec)
+    #: Halo-exchange shape (width, rounds, bytes) — paper Sec 3.3. The
+    #: default exchanges ``levels``-deep fields; an explicit spec is kept
+    #: as given, so its depth may differ from the compute depth.
+    halo: Optional[HaloSpec] = None
     #: Extra rows/columns each tile computes redundantly around its halo
     #: (stencil overlap work). Inflates small tiles slightly.
     halo_compute_overlap: int = 1
@@ -69,17 +72,8 @@ class WorkloadParams:
         check_positive_int(self.levels, "levels")
         if self.halo_compute_overlap < 0:
             raise ValueError("halo_compute_overlap must be >= 0")
-        if self.halo.levels != self.levels:
-            # Keep the exchanged-field depth consistent with the compute
-            # depth unless the caller deliberately decouples them.
-            object.__setattr__(
-                self, "halo", HaloSpec(
-                    width=self.halo.width,
-                    levels=self.levels,
-                    bytes_per_value=self.halo.bytes_per_value,
-                    rounds_per_step=self.halo.rounds_per_step,
-                )
-            )
+        if self.halo is None:
+            object.__setattr__(self, "halo", HaloSpec(levels=self.levels))
 
     def seconds_per_point(self, sustained_flops: float) -> float:
         """Core-seconds per horizontal point per step (all levels)."""

@@ -78,8 +78,7 @@ def cold_costs(grid, rects, domains, torus, placement, machine, spec):
 def priced(grid=GRID, rects=RECTS, domains=DOMAINS, torus=TORUS,
            placement=PLACEMENT, machine=MACHINE, spec=SPEC):
     """``comm_costs`` of one set, checked against both recomputations."""
-    # The workload's own depth overrides a halo spec's levels.
-    workload = WorkloadParams(levels=spec.levels, halo=spec)
+    workload = WorkloadParams(halo=spec)
     costs = comm_costs(grid, rects, domains, torus, placement, machine, workload)
     assert costs == cold_costs(grid, rects, domains, torus, placement, machine, spec)
     assert costs == reference_comm_costs(

@@ -23,6 +23,11 @@ class TestWorkloadParams:
         wl = WorkloadParams(halo=HaloSpec(width=5, levels=35))
         assert wl.halo.width == 5
 
+    def test_explicit_halo_depth_kept(self):
+        wl = WorkloadParams(halo=HaloSpec(levels=40))
+        assert wl.levels == 35
+        assert wl.halo == HaloSpec(levels=40)
+
     def test_seconds_per_point(self):
         wl = WorkloadParams()
         expected = 35 * 8000.0 / BLUE_GENE_L.sustained_flops_per_core
