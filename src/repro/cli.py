@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence
 from repro.core.mapping import MAPPINGS
 from repro.errors import ConfigurationError, ReproError
 from repro.exec.plancache import parallel_plan
-from repro.iosim.model import IoModel
+from repro.iosim.model import IO_NAMES, io_model
 from repro.perfsim.profiling import profile_step
 from repro.perfsim.timeline import build_timeline, render_gantt
 from repro.runtime.decomposition import grid_for
@@ -143,7 +143,7 @@ def _cmd_simulate(args) -> int:
     seq, par = simulate_strategies(
         grid, parent, nests, machine,
         mapping=MAPPINGS[args.mapping](),
-        io_model=None if args.io == "none" else IoModel(args.io),
+        io_model=io_model(args.io),
     )
 
     print(f"machine {machine.name}, {args.ranks} ranks "
@@ -217,14 +217,13 @@ def _cmd_recommend(args) -> int:
 
     name, parent, nests = _load_domains(args)
     config = Configuration(name, parent, tuple(nests))
-    io = None if args.io == "none" else IoModel(args.io)
     plan = recommend(
         config,
         MACHINES[args.machine],
         max_ranks=args.max_ranks,
         min_ranks=args.min_ranks,
         efficiency_floor=args.efficiency_floor,
-        io_model=io,
+        io_model=io_model(args.io),
         jobs=args.jobs,
     )
     print(plan.render())
@@ -516,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=1024)
     p.add_argument("--machine", choices=sorted(MACHINES), default="bgl")
     p.add_argument("--mapping", choices=sorted(MAPPINGS), default="oblivious")
-    p.add_argument("--io", choices=["none", "pnetcdf", "split"], default="none")
+    p.add_argument("--io", choices=IO_NAMES, default="none")
     p.add_argument("--timeline", action="store_true",
                    help="print per-group Gantt charts")
     _add_trace_flag(p)
@@ -548,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-ranks", type=int, default=1024, dest="max_ranks")
     p.add_argument("--efficiency-floor", type=float, default=0.5,
                    dest="efficiency_floor")
-    p.add_argument("--io", choices=["none", "pnetcdf", "split"], default="none")
+    p.add_argument("--io", choices=IO_NAMES, default="none")
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_recommend)
 
@@ -621,11 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="outer ticks to advance every member (default: 4)")
     p.add_argument("--seed", type=int, default=7,
                    help="base seed; family f runs under seed+f (default: 7)")
-    p.add_argument("--machine", choices=["bgl", "bgp"], default="bgp")
+    p.add_argument("--machine", choices=sorted(MACHINES), default="bgp")
     p.add_argument("--ranks", type=int, default=4096,
                    help="rank count every member is priced at (default: 4096)")
-    p.add_argument("--io", choices=["none", "pnetcdf", "split"],
-                   default="pnetcdf")
+    p.add_argument("--io", choices=IO_NAMES, default="pnetcdf")
     p.add_argument("--mapping", choices=["oblivious", "txyz"],
                    default="oblivious")
     p.add_argument("--parent-nx", type=int, default=40, dest="parent_nx")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.iosim.pnetcdf import pnetcdf_write_time
@@ -12,7 +12,11 @@ from repro.obs.metrics import counter as _obs_counter
 from repro.obs.metrics import histogram as _obs_histogram
 from repro.topology.machines import Machine
 
-__all__ = ["IoCost", "IoModel"]
+__all__ = ["IO_NAMES", "IoCost", "IoModel", "io_model"]
+
+#: Every I/O model name: ``"none"`` prices no history output, and each
+#: other name is an :class:`IoModel` method.
+IO_NAMES: Tuple[str, ...] = ("none", "pnetcdf", "split")
 
 # Observability: one event counter, one byte counter, and a model-time
 # histogram (simulated seconds, decade buckets from 1 ms to 10^4 s) per
@@ -45,7 +49,7 @@ class IoModel:
     """
 
     def __init__(self, method: Literal["pnetcdf", "split"] = "pnetcdf"):
-        if method not in ("pnetcdf", "split"):
+        if method == "none" or method not in IO_NAMES:
             raise ConfigurationError(f"unknown I/O method {method!r}")
         self.method = method
 
@@ -88,3 +92,8 @@ class IoModel:
         _IO_BYTES.inc(int(sum(file_bytes)))
         _IO_EVENT_TIME.observe(total)
         return IoCost(time=total, per_file=per_file)
+
+
+def io_model(name: str) -> Optional[IoModel]:
+    """The I/O model named *name*, or ``None`` for ``"none"``."""
+    return None if name == "none" else IoModel(name)

@@ -33,7 +33,7 @@ from repro.core.mapping import MAPPINGS
 from repro.errors import ConfigurationError
 from repro.exec.placementcache import placement_cache_stats
 from repro.exec.plancache import parallel_plan, plan_cache_stats, sequential_plan
-from repro.iosim.model import IoModel
+from repro.iosim.model import io_model
 from repro.netsim.engine import route_cache_stats
 from repro.obs.metrics import counter, registry
 from repro.obs.trace import tracer
@@ -147,7 +147,7 @@ class ServiceState:
                 min_ranks=req.min_ranks,
                 efficiency_floor=req.efficiency_floor,
                 mapping=MAPPINGS[req.mapping](),
-                io_model=None if req.io == "none" else IoModel(req.io),
+                io_model=io_model(req.io),
                 jobs=1,
             )
         def payload(o) -> PlanOptionPayload:
@@ -176,7 +176,7 @@ class ServiceState:
             grid_for(req.ranks), config.parent, config.siblings,
             MACHINES[req.machine],
             mapping=MAPPINGS[req.mapping](),
-            io_model=None if req.io == "none" else IoModel(req.io),
+            io_model=io_model(req.io),
         )
 
         def payload(rep: IterationReport) -> IterationPayload:

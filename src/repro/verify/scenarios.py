@@ -25,7 +25,7 @@ from repro.core.scheduler.plan import ExecutionPlan
 from repro.errors import ConfigurationError
 from repro.exec.placementcache import cached_placement
 from repro.exec.plancache import parallel_plan, sequential_plan
-from repro.iosim.model import IoModel
+from repro.iosim.model import IO_NAMES, IoModel, io_model
 from repro.perfsim.simulate import IterationReport, simulate_iteration
 from repro.runtime.decomposition import grid_for
 from repro.runtime.process_grid import ProcessGrid
@@ -62,7 +62,7 @@ class Scenario:
             raise ConfigurationError(f"unknown machine {self.machine!r}")
         if self.mapping not in MAPPINGS:
             raise ConfigurationError(f"unknown mapping {self.mapping!r}")
-        if self.io not in ("none", "pnetcdf", "split"):
+        if self.io not in IO_NAMES:
             raise ConfigurationError(f"unknown io model {self.io!r}")
 
     # ------------------------------------------------------------------
@@ -138,10 +138,10 @@ class Scenario:
         # dimension being shrunk.
         placement = cached_placement(mapping, grid, space, par_plan.rects)
 
-        io_model = None if self.io == "none" else IoModel(self.io)
-        seq_report = simulate_iteration(seq_plan, machine, io_model=io_model)
+        io = io_model(self.io)
+        seq_report = simulate_iteration(seq_plan, machine, io_model=io)
         par_report = simulate_iteration(
-            par_plan, machine, io_model=io_model, placement=placement
+            par_plan, machine, io_model=io, placement=placement
         )
         return ScenarioRun(
             scenario=self,
@@ -152,7 +152,7 @@ class Scenario:
             seq_plan=seq_plan,
             par_plan=par_plan,
             placement=placement,
-            io_model=io_model,
+            io_model=io,
             seq_report=seq_report,
             par_report=par_report,
         )

@@ -148,6 +148,12 @@ class TestErrorPaths:
         for payload, code in cases:
             self._assert_error(client.recommend(payload), 400, code)
 
+    def test_integer_too_large_for_a_float_400(self, client):
+        raw = b'{"efficiency_floor":1' + b"0" * 400 + b"}"
+        reply = client.post("/recommend", raw=raw)
+        self._assert_error(reply, 400, "invalid-value")
+        assert reply.json["message"] == "field 'efficiency_floor' must be finite"
+
     def test_non_object_payload_400(self, client):
         reply = client.post("/simulate", raw=b"[1,2,3]")
         self._assert_error(reply, 400, "invalid-payload")

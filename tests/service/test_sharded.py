@@ -36,6 +36,7 @@ from repro.service import (
     ServiceClient,
     ShardedPlanningService,
 )
+from repro.service.router import affinity_key
 
 # A deterministic mixed workload: every endpoint, defaulted and
 # explicit payloads, plus requests that must fail with stable error
@@ -151,6 +152,13 @@ class TestByteDeterminism:
                     {"config": "fig2", "min_ranks": 64, "max_ranks": 256}
                 )
                 assert a.shard == b.shard
+
+
+class TestAffinityKey:
+    def test_unparseable_bodies_hash_their_raw_bytes(self):
+        # Bad JSON, and an integer too large for the float it fills.
+        for raw in (b"{nope", b'{"efficiency_floor":1' + b"0" * 400 + b"}"):
+            assert affinity_key("/recommend", raw) == b"raw\x00" + raw
 
 
 class TestRouterEdge:
