@@ -261,9 +261,12 @@ class _Handler(_EdgeHandler):
     # ------------------------------------------------------------------
     def _read_request(self, cls: type) -> Any:
         raw = self._read_body()
+        # Besides malformed JSON, ValueError covers a body that is not
+        # valid UTF-8/16/32, and RecursionError one nested past the
+        # decoder's depth limit.
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise _HttpError(400, "invalid-json", f"bad JSON: {exc}") from None
         return parse_payload(cls, payload)
 

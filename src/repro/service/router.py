@@ -97,7 +97,7 @@ def affinity_key(path: str, raw: bytes) -> bytes:
         try:
             payload = json.loads(raw)
             req = parse_payload(cls, payload)
-        except (ValueError, SchemaError):
+        except (ValueError, RecursionError, SchemaError):
             pass
         else:
             fields = {

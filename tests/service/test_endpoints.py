@@ -133,8 +133,14 @@ class TestErrorPaths:
         self._assert_error(client.post("/healthz", {}), 405, "method-not-allowed")
 
     def test_invalid_json_400(self, client):
-        reply = client.post("/recommend", raw=b"{nope")
-        self._assert_error(reply, 400, "invalid-json")
+        for raw in (
+            b"{nope",
+            b'{"config": "\xff"}',  # not UTF-8
+            b"\xff\xfe{",  # a UTF-16 byte-order mark, then not UTF-16
+            b"[" * 100_000 + b"]" * 100_000,  # past the decoder's depth limit
+        ):
+            reply = client.post("/recommend", raw=raw)
+            self._assert_error(reply, 400, "invalid-json")
 
     def test_schema_violations_carry_their_codes(self, client):
         cases = [

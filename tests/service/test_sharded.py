@@ -38,6 +38,15 @@ from repro.service import (
 )
 from repro.service.router import affinity_key
 
+#: Bodies ``json.loads`` rejects with an error other than a
+#: ``JSONDecodeError``: not UTF-8, a UTF-16 byte-order mark followed by
+#: bytes that are not UTF-16, and nesting past the decoder's depth limit.
+UNDECODABLE = (
+    b'{"config": "\xff"}',
+    b"\xff\xfe{",
+    b"[" * 100_000 + b"]" * 100_000,
+)
+
 # A deterministic mixed workload: every endpoint, defaulted and
 # explicit payloads, plus requests that must fail with stable error
 # bodies (schema violations, malformed JSON) — those must be
@@ -57,6 +66,7 @@ WORKLOAD = [
     ("/verify", {"budget": 3, "seed": 5, "oracles": ["conservation"]}, None),
     (None, None, b"{nope"),  # invalid JSON, hashed raw for affinity
     (None, None, b"[1,2,3]"),  # valid JSON, wrong shape
+    *((None, None, raw) for raw in UNDECODABLE),
 ]
 
 #: Good storm replies before the failover test kills a shard.
@@ -156,8 +166,13 @@ class TestByteDeterminism:
 
 class TestAffinityKey:
     def test_unparseable_bodies_hash_their_raw_bytes(self):
-        # Bad JSON, and an integer too large for the float it fills.
-        for raw in (b"{nope", b'{"efficiency_floor":1' + b"0" * 400 + b"}"):
+        # Bad JSON, an integer too large for the float it fills, and
+        # bodies the decoder cannot read at all.
+        for raw in (
+            b"{nope",
+            b'{"efficiency_floor":1' + b"0" * 400 + b"}",
+            *UNDECODABLE,
+        ):
             assert affinity_key("/recommend", raw) == b"raw\x00" + raw
 
 
