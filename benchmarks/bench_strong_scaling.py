@@ -8,9 +8,10 @@ recording time-per-message and peak RSS at every scale into
 kernel a route-cache miss runs (cold) and the structural
 route-cache hit every repeated exchange takes (warm).
 
-The interesting axis is **memory**, not time: the streaming engine must
-hold its route expansion inside ``REPRO_NETSIM_MEM_MB`` no matter the
-rank count, so the run asserts the process's peak RSS against the
+The interesting axis is **memory**, not time: the engine must hold its
+route expansion inside ``REPRO_NETSIM_MEM_MB`` no matter the rank count,
+building an exchange in several expansion passes when one would exceed
+it, so the run asserts the process's peak RSS against the
 ``REPRO_SCALING_RSS_MB`` ceiling (and a companion test exercises the
 budget-exceeded failure mode so the assertion is known to bite).
 
@@ -22,9 +23,9 @@ Environment knobs:
   plus every scale's working set).
 * ``REPRO_NETSIM_MEM_MB`` — the engine budget under test. The bench
   defaults it to 64 MB — tight enough that the 64k+ rungs exceed the
-  one-shot expansion limit and actually exercise the streaming path —
-  with the route-cache budget pinned separately so warm-path caching
-  stays representative.
+  pass hop limit and are built in several passes. A quarter of that
+  (16 MiB) would not hold the 131k rung's route-cache entry, so the
+  warm leg sets the cache's own budget to ``WARM_CACHE_MB``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import time
 from pathlib import Path
 
 os.environ.setdefault("REPRO_NETSIM_MEM_MB", "64")
-os.environ.setdefault("REPRO_NETSIM_ROUTE_CACHE_MB", "64")
 
 import pytest
 from conftest import record
@@ -44,6 +44,7 @@ from repro.core.mapping.base import SlotSpace
 from repro.core.mapping.oblivious import ObliviousMapping
 from repro.netsim.budget import mem_budget_bytes
 from repro.netsim.engine import (
+    _ROUTE_CACHE,
     VECTOR,
     reset_route_cache,
     route_batch,
@@ -64,6 +65,9 @@ RANK_SCALES = (4096, 16384, 65536, 131072)
 #: Synthetic global domain large enough that no rung's process grid is
 #: clamped (every grid dimension stays below the domain extent).
 DOMAIN = (4096, 4096)
+
+#: Route-cache budget of the warm leg, so every rung's entry is kept.
+WARM_CACHE_MB = 64
 
 MAX_RANKS = int(os.environ.get("REPRO_SCALING_MAX_RANKS", RANK_SCALES[-1]))
 RSS_CEILING_MB = float(os.environ.get("REPRO_SCALING_RSS_MB", 2048))
@@ -106,7 +110,7 @@ def _one_scale(machine, ranks: int) -> dict:
     routed, loads = route_batch(torus, pvec, batch)
     estimate = VECTOR.round_estimate(routed, loads, machine)
     cold_s = time.perf_counter() - t0
-    messages, streamed, chunks = len(batch), routed.streamed, routed.num_chunks
+    messages, chunks = len(batch), routed.num_chunks
     del batch, routed, loads  # the priming miss below builds its own
 
     # Warm: the structural route-cache hit, after one priming miss that
@@ -133,7 +137,6 @@ def _one_scale(machine, ranks: int) -> dict:
         "route_cold_s": cold_s,
         "route_warm_s": warm_s,
         "time_per_message_us": cold_s / messages * 1e6,
-        "streamed": streamed,
         "chunks": chunks,
         "round_time_s": estimate.time,
         "max_link_bytes": estimate.max_link_bytes,
@@ -146,7 +149,8 @@ def _one_scale(machine, ranks: int) -> dict:
     }
 
 
-def test_strong_scaling():
+def test_strong_scaling(monkeypatch):
+    monkeypatch.setattr(_ROUTE_CACHE, "budget_bytes", lambda: WARM_CACHE_MB * 2**20)
     budget_mb = mem_budget_bytes() / 2**20
     scales = [r for r in RANK_SCALES if r <= MAX_RANKS]
     assert scales, f"REPRO_SCALING_MAX_RANKS={MAX_RANKS} filters every rung"
@@ -177,7 +181,7 @@ def test_strong_scaling():
         f"strong scaling, budget {budget_mb:.0f} MB "
         f"(ceiling {RSS_CEILING_MB:.0f} MB):",
         f"  {'machine':<14} {'ranks':>7} {'torus':>12} {'msgs':>7} "
-        f"{'place':>8} {'cold':>8} {'us/msg':>7} {'strm':>5} {'rss MB':>8}",
+        f"{'place':>8} {'cold':>8} {'us/msg':>7} {'passes':>6} {'rss MB':>8}",
     ]
     for e in entries:
         lines.append(
@@ -185,7 +189,7 @@ def test_strong_scaling():
             f"{'x'.join(map(str, e['torus'])):>12} {e['messages']:>7} "
             f"{e['placement_s'] * 1e3:>6.1f}ms {e['route_cold_s'] * 1e3:>6.1f}ms "
             f"{e['time_per_message_us']:>7.3f} "
-            f"{str(e['streamed'])[0]:>5} {e['peak_rss_mb']:>8.1f}"
+            f"{e['chunks']:>6} {e['peak_rss_mb']:>8.1f}"
         )
     lines.append(f"  [appended to {BENCH_JSON.name}]")
     record("strong_scaling", "\n".join(lines))

@@ -1,22 +1,22 @@
-"""Memory budgeting for the streaming network engine.
+"""Memory budgeting for the network engine.
 
 The vectorized engine's peak working set is the per-hop route expansion
-(:mod:`repro.netsim.engine`): a handful of flat ``int64`` arrays whose
-length is the *total hop count* of an exchange. At 4k ranks that is a
-few megabytes; at 131k+ ranks it grows into the hundreds of megabytes —
-so the engine bounds it against one configurable budget:
+(:mod:`repro.netsim.engine`): a handful of flat ``int64`` temporaries
+whose length is the hop count being expanded. At 4k ranks that is a few
+megabytes; at 131k+ ranks it grows into the hundreds of megabytes — so
+the engine bounds it against one configurable budget:
 
     REPRO_NETSIM_MEM_MB=512        # total netsim working-set budget
 
 From that single knob the engine derives
 
-* the **expansion hop limit** — the largest per-hop expansion built in
-  one shot; exchanges whose total hops exceed it are processed in
-  bounded chunks (bit-identical to the one-shot path, see
+* the **expansion hop limit** — the most hops one expansion pass
+  builds; an exchange whose total hops exceed it is built in several
+  passes into the same stored routes (bit-identical to one pass, see
   ``docs/cost_model.md``),
-* the **route-cache byte budget** (override:
-  ``REPRO_NETSIM_ROUTE_CACHE_MB``) — cached routed exchanges are evicted
-  LRU-first once their resident bytes exceed it,
+* the **route-cache byte budget** (a quarter of the budget) — cached
+  routed exchanges are evicted LRU-first once their resident bytes
+  exceed it,
 * the **placement-cache byte budget** (an eighth of the budget) used
   by :mod:`repro.exec.placementcache`.
 
@@ -42,13 +42,14 @@ __all__ = [
 ]
 
 #: Default overall working-set budget when ``REPRO_NETSIM_MEM_MB`` is
-#: unset: a one-shot limit of 2,796,202 hops. Every paper-sized (<=8k
-#: rank) exchange takes the one-shot path, and so does a 131,072-rank
-#: BG/P halo exchange (at most 607,744 pair hops on the 32x32x32 torus).
-#: Those stream only under a smaller budget: 64 MB allows 349,525 hops.
+#: unset: a pass limit of 2,796,202 hops. Every paper-sized (<=8k rank)
+#: exchange is built in one pass, and so is a 131,072-rank BG/P halo
+#: exchange (at most 607,744 pair hops on the 32x32x32 torus). Those
+#: take several passes only under a smaller budget: 64 MB allows
+#: 349,525 hops a pass.
 DEFAULT_MEM_MB = 512.0
 
-#: Transient bytes per flat hop of the one-shot route expansion: the
+#: Transient bytes per flat hop of a route expansion pass: the
 #: index-algebra kernel materialises ~12 ``int64``-wide intermediates
 #: (message ids, in-route positions, per-dimension selectors, node
 #: coordinates, link ids). Used to convert the byte budget into a hop
@@ -59,40 +60,38 @@ EXPANSION_BYTES_PER_HOP = 96
 #: headroom for message columns, accumulators, and cached results).
 _EXPANSION_SHARE = 0.5
 
-#: Never chunk below this many hops: tiny chunks would turn the array
+#: Never pass below this many hops: tiny passes would turn the array
 #: kernel back into a Python loop.
 _MIN_CHUNK_HOPS = 1024
 
-#: Cache shares of the budget (the route cache's is overridable).
+#: Cache shares of the budget.
 _ROUTE_CACHE_SHARE = 0.25
 _PLACEMENT_CACHE_SHARE = 0.125
 
 
-def _mb_env(name: str, default_mb: float) -> float:
-    raw = os.environ.get(name)
+def mem_budget_bytes() -> int:
+    """The netsim working-set budget (``REPRO_NETSIM_MEM_MB``), in bytes."""
+    raw = os.environ.get("REPRO_NETSIM_MEM_MB")
     if raw is None or not raw.strip():
-        return default_mb
+        return int(DEFAULT_MEM_MB * 2**20)
     try:
         value = float(raw)
     except ValueError:
         raise ConfigurationError(
-            f"{name}={raw!r}: expected a megabyte count"
+            f"REPRO_NETSIM_MEM_MB={raw!r}: expected a megabyte count"
         ) from None
     if not math.isfinite(value) or value <= 0:
-        raise ConfigurationError(f"{name}={raw!r}: budget must be positive")
-    return value
-
-
-def mem_budget_bytes() -> int:
-    """The netsim working-set budget (``REPRO_NETSIM_MEM_MB``), in bytes."""
-    return int(_mb_env("REPRO_NETSIM_MEM_MB", DEFAULT_MEM_MB) * 2**20)
+        raise ConfigurationError(
+            f"REPRO_NETSIM_MEM_MB={raw!r}: budget must be positive"
+        )
+    return int(value * 2**20)
 
 
 def expansion_hop_limit(budget_bytes: int | None = None) -> int:
-    """Largest one-shot per-hop expansion the budget allows, in hops.
+    """Largest expansion pass the budget allows, in hops.
 
-    Exchanges whose total hop count exceeds this are expanded in chunks
-    of at most this many hops (one pair minimum per chunk).
+    Exchanges whose total hop count exceeds this are expanded in passes
+    of at most this many hops (one pair minimum per pass).
     """
     if budget_bytes is None:
         budget_bytes = mem_budget_bytes()
@@ -101,14 +100,7 @@ def expansion_hop_limit(budget_bytes: int | None = None) -> int:
 
 
 def route_cache_budget_bytes() -> int:
-    """Byte budget of the netsim route cache.
-
-    ``REPRO_NETSIM_ROUTE_CACHE_MB`` when set, else a quarter of the
-    overall budget.
-    """
-    raw = os.environ.get("REPRO_NETSIM_ROUTE_CACHE_MB")
-    if raw is not None and raw.strip():
-        return int(_mb_env("REPRO_NETSIM_ROUTE_CACHE_MB", 0.0) * 2**20)
+    """Byte budget of the netsim route cache: a quarter of the overall budget."""
     return int(mem_budget_bytes() * _ROUTE_CACHE_SHARE)
 
 

@@ -16,15 +16,15 @@ production engine: NumPy array kernels, bit-identical to the reference:
   ring arithmetic (:func:`repro.topology.routing.ring_steps_array`), then
   expanded to a flat ``(message, link_id)`` array with ``repeat``/
   ``cumsum`` index algebra — no per-hop Python loop.
-* **Memory-bounded streaming.** The per-hop expansion is the engine's
-  peak working set; it grows with *total hops*, which at 131k+ ranks
-  reaches hundreds of megabytes. Exchanges whose expansion would exceed
-  the ``REPRO_NETSIM_MEM_MB`` budget (:mod:`repro.netsim.budget`) are
-  expanded in bounded pair chunks instead, accumulating link loads
-  incrementally — bit-identical to the one-shot path for **any** chunk
-  size, because all byte totals are exact integers below ``2**53`` (a
-  guard raises :class:`OverflowError` rather than ever letting the
-  float64 accumulators round).
+* **Memory-bounded expansion.** The per-hop expansion's temporaries
+  are the engine's peak working set; they grow with *total hops*, which
+  at 131k+ ranks reaches hundreds of megabytes. Routes are therefore
+  expanded in passes of at most ``REPRO_NETSIM_MEM_MB``'s hop limit
+  (:mod:`repro.netsim.budget`), each writing its link ids into the one
+  stored array and adding its loads into the total — bit-identical for
+  **any** pass size, because all byte totals are exact integers below
+  ``2**53`` (a guard raises :class:`OverflowError` rather than ever
+  letting the float64 accumulators round).
 * **Dtype-width audit.** Retained route columns (link ids, hop counts,
   pair indices) are stored as ``int32`` whenever the torus and message
   count allow (guarded, falling back to ``int64`` — never wrapping);
@@ -60,14 +60,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exec.cache import BoundedCache
 from repro.netsim.budget import expansion_hop_limit, route_cache_budget_bytes
 from repro.netsim.contention import CommEstimate
-from repro.obs.metrics import counter as _obs_counter
 from repro.obs.metrics import gauge as _obs_gauge
 from repro.obs.metrics import histogram as _obs_histogram
 from repro.runtime.halo import HaloBatch, HaloSpec, halo_batch
@@ -105,10 +104,6 @@ EXACT_BYTES_LIMIT = 2**53
 # updated unconditionally. The route cache mirrors its own counters
 # (``netsim.route_cache.*``, see :mod:`repro.exec.cache`).
 _MAX_LINK_BYTES = _obs_gauge("netsim.link_load.max_bytes")
-#: Streaming fan-out: exchanges that exceeded the one-shot expansion
-#: budget, and the bounded chunks they were expanded in.
-_STREAMED = _obs_counter("netsim.route_expand.streamed")
-_CHUNKS = _obs_counter("netsim.route_expand.chunks")
 #: Per routed set (one per cache miss): worst-link bytes of its summed
 #: loads, power-of-4 buckets.
 _LINK_EXTREMES = _obs_histogram(
@@ -246,27 +241,24 @@ def _expand_links(
     step: np.ndarray,
     count: np.ndarray,
     hops: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fully expand the routes of one pair slice.
+    starts: np.ndarray,
+) -> np.ndarray:
+    """Expand the routes of one pair slice into dense link ids.
 
-    Returns ``(starts, link_ids)`` where ``starts`` is the exclusive
-    prefix sum of *hops* (length ``len(src_c) + 1``) and ``link_ids`` the
-    concatenated dense link ids (dimension order, hop order preserved).
+    *starts* is the slice's window of the exchange's hop prefix sum
+    (``len(src_c) + 1`` long), so the ids returned are exactly
+    ``pair_link_ids[starts[0]:starts[-1]]`` in dimension and hop order.
     The geometry (``step``/``count`` from
-    :func:`~repro.topology.routing.ring_steps_array`) is passed in so
-    streaming callers compute it once per exchange, not once per chunk.
+    :func:`~repro.topology.routing.ring_steps_array`) is passed in so it
+    is computed once per exchange, not once per pass.
     """
     m = len(src_c)
-    starts = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(hops, out=starts[1:])
-    total = int(starts[-1])
-    if total == 0:
-        return starts, np.zeros(0, dtype=np.int64)
+    s_lo, s_hi = int(starts[0]), int(starts[-1])
 
     # Flat hop index algebra: msg[f] is the pair of flat hop f and t[f]
     # its position within that pair's route.
     msg = np.repeat(np.arange(m, dtype=np.int64), hops)
-    t = np.arange(total, dtype=np.int64) - np.repeat(starts[:-1], hops)
+    t = np.arange(s_lo, s_hi, dtype=np.int64) - np.repeat(starts[:-1], hops)
 
     # Which dimension is being traversed at hop t (routes go x, y, z).
     c0 = count[msg, 0]
@@ -274,6 +266,9 @@ def _expand_links(
     dim_sel = (t >= c0).astype(np.int64) + (t >= c01)
     # Hop index within the selected dimension's run.
     j = t - np.where(dim_sel >= 1, c0, 0) - np.where(dim_sel == 2, count[msg, 1], 0)
+    # Dead per-hop temporaries are dropped as soon as possible: the
+    # kernel's live set is the peak of an expansion pass.
+    del t, c0, c01
 
     # Source node of each hop: dimensions before the selected one are
     # already at the destination, later ones still at the source.
@@ -289,59 +284,40 @@ def _expand_links(
         ),
     )
     z = np.where(dim_sel == 2, (src_c[msg, 2] + j * step[msg, 2]) % z_dim, src_c[msg, 2])
+    del j
 
     node = x + x_dim * (y + y_dim * z)
+    del x, y, z
     direction_bit = (step[msg, dim_sel] < 0).astype(np.int64)
-    link_ids = (node * 3 + dim_sel) * 2 + direction_bit
-    return starts, link_ids
+    return (node * 3 + dim_sel) * 2 + direction_bit
 
 
-def _route_arrays(
-    dims: tuple[int, int, int], src_c: np.ndarray, dst_c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dimension-ordered routes of a pair set, fully expanded.
+def _chunk_bounds(starts: np.ndarray, hop_limit: int) -> List[int]:
+    """Pair-index boundaries of expansion passes of at most *hop_limit* hops.
 
-    Returns ``(hops, starts, link_ids)``; used for one-shot expansion and
-    for decoding single routes of streamed exchanges.
+    *starts* is the exchange's exclusive hop prefix sum. Greedy and
+    deterministic: every pass holds at least one pair (a single pair's
+    route is never split across passes), so the plan is a pure function
+    of ``(starts, hop_limit)`` and the loads summed over the passes are
+    bit-identical to one pass for any limit. An exchange without pairs
+    is one empty pass.
     """
-    dims_a = np.asarray(dims, dtype=np.int64)
-    step, count = ring_steps_array(src_c, dst_c, dims_a)  # (M, 3) each
-    hops = count.sum(axis=1)
-    starts, link_ids = _expand_links(dims, src_c, dst_c, step, count, hops)
-    return hops, starts, link_ids
-
-
-def _chunk_bounds(pair_hops: np.ndarray, hop_limit: int) -> np.ndarray:
-    """Pair-index boundaries of chunks of at most *hop_limit* total hops.
-
-    Greedy and deterministic: every chunk holds at least one pair (a
-    single pair's route is never split), so the plan is a pure function
-    of ``(pair_hops, hop_limit)`` and link-load accumulation over the
-    chunks is bit-identical to the one-shot expansion for any limit.
-    """
-    cum = np.cumsum(pair_hops, dtype=np.int64)
-    n = len(pair_hops)
+    n = len(starts) - 1
     bounds = [0]
-    start = 0
-    base = 0
-    while start < n:
-        end = int(np.searchsorted(cum, base + hop_limit, side="right"))
-        if end <= start:
-            end = start + 1
-        bounds.append(end)
-        base = int(cum[end - 1])
-        start = end
-    return np.asarray(bounds, dtype=np.int64)
+    while bounds[-1] < n:
+        lo = bounds[-1]
+        end = int(np.searchsorted(starts, starts[lo] + hop_limit, side="right")) - 1
+        bounds.append(max(end, lo + 1))
+    return bounds if n else [0, 0]
 
 
-def _freeze(*arrays: Optional[np.ndarray]) -> None:
+def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
-        if a is not None:
-            a.flags.writeable = False
+        a.flags.writeable = False
 
 
 # ----------------------------------------------------------------------
-# Routed exchange (array form, one-shot or streamed)
+# Routed exchange (array form)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RoutedExchange:
@@ -350,18 +326,10 @@ class RoutedExchange:
     Routes are stored per *unique* ``(src node, dst node)`` pair — with
     several ranks per node, many messages share a pair, so routing work
     and storage shrink accordingly. Message *i* uses the route of pair
-    ``pair_inverse[i]``.
-
-    Two storage forms share this type:
-
-    * **one-shot** — ``pair_link_ids`` holds every route's dense link
-      ids; pair *p*'s route is the slice
-      ``pair_link_ids[pair_starts[p]:pair_starts[p + 1]]``.
-    * **streamed** — the expansion exceeded the memory budget, so
-      ``pair_link_ids``/``pair_starts`` are ``None`` and routes are
-      re-expanded in bounded chunks (``chunk_bounds`` pair boundaries)
-      from the stored pair coordinates whenever pricing needs them
-      (:meth:`iter_link_chunks`).
+    ``p = pair_inverse[i]``, whose dense link ids are the slice
+    ``pair_link_ids[pair_starts[p]:pair_starts[p + 1]]``. Every route is
+    stored, however many expansion passes (``num_chunks``) the memory
+    budget split its build into.
 
     A routed *set* of concurrent exchanges is one exchange whose
     messages are the members' columns concatenated in member order.
@@ -386,11 +354,12 @@ class RoutedExchange:
     #: Unique-pair endpoint coordinates, ``(U, 3)`` each.
     pair_src: np.ndarray
     pair_dst: np.ndarray
-    #: One-shot form only (``None`` when streamed).
-    pair_starts: Optional[np.ndarray]
-    pair_link_ids: Optional[np.ndarray]
-    #: Streamed form only: pair-index chunk boundaries (``None`` one-shot).
-    chunk_bounds: Optional[np.ndarray]
+    #: Exclusive prefix sum of ``pair_hops`` (``U + 1`` long, ``int64``).
+    pair_starts: np.ndarray
+    #: Every pair's route as dense link ids, concatenated in pair order.
+    pair_link_ids: np.ndarray
+    #: Expansion passes the build took (1 unless the budget split it).
+    num_chunks: int
     #: Message offsets of the members, ``(0, len)`` for a lone exchange.
     member_bounds: Tuple[int, ...]
     #: Unique-pair offsets of the members.
@@ -404,83 +373,29 @@ class RoutedExchange:
         return len(self.nbytes)
 
     @property
-    def streamed(self) -> bool:
-        """Whether routes are re-expanded in chunks instead of stored."""
-        return self.pair_link_ids is None
-
-    @property
-    def num_chunks(self) -> int:
-        """Expansion chunks pricing iterates over (1 when one-shot)."""
-        if self.chunk_bounds is None:
-            return 1
-        return len(self.chunk_bounds) - 1
-
-    @property
     def resident_nbytes(self) -> int:
         """Bytes this exchange keeps resident (cache accounting)."""
-        total = 0
-        for arr in (
-            self.src_ranks,
-            self.dst_ranks,
-            self.nbytes,
-            self.hops,
-            self.pair_inverse,
-            self.pair_hops,
-            self.pair_src,
-            self.pair_dst,
-            self.pair_starts,
-            self.pair_link_ids,
-            self.chunk_bounds,
-        ):
-            if arr is not None:
-                total += arr.nbytes
-        return total
-
-    def iter_link_chunks(
-        self, lo: int = 0, hi: Optional[int] = None
-    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yield ``(pair_lo, pair_hi, starts, link_ids)`` per chunk of pairs.
-
-        Covers the pair range ``lo:hi`` (every pair by default); each
-        chunk's ``starts`` index its own ``link_ids``. One-shot exchanges
-        yield a view of their stored arrays once; streamed exchanges
-        re-expand each bounded chunk from the pair coordinates (same
-        index algebra, so the ids are identical to what a one-shot
-        expansion would have produced for that slice).
-        """
-        if hi is None:
-            hi = len(self.pair_hops)
-        if self.pair_link_ids is not None:
-            s_lo, s_hi = int(self.pair_starts[lo]), int(self.pair_starts[hi])
-            starts = self.pair_starts[lo : hi + 1] - s_lo
-            yield lo, hi, starts, self.pair_link_ids[s_lo:s_hi]
-            return
-        dims_a = np.asarray(self.torus.dims, dtype=np.int64)
-        bounds = self.chunk_bounds
-        for i in range(len(bounds) - 1):
-            c_lo, c_hi = max(int(bounds[i]), lo), min(int(bounds[i + 1]), hi)
-            if c_lo >= c_hi:
-                continue
-            src_c, dst_c = self.pair_src[c_lo:c_hi], self.pair_dst[c_lo:c_hi]
-            step, count = ring_steps_array(src_c, dst_c, dims_a)
-            starts, link_ids = _expand_links(
-                self.torus.dims, src_c, dst_c, step, count, self.pair_hops[c_lo:c_hi]
+        return sum(
+            arr.nbytes
+            for arr in (
+                self.src_ranks,
+                self.dst_ranks,
+                self.nbytes,
+                self.hops,
+                self.pair_inverse,
+                self.pair_hops,
+                self.pair_src,
+                self.pair_dst,
+                self.pair_starts,
+                self.pair_link_ids,
             )
-            yield c_lo, c_hi, starts, link_ids
+        )
 
     def message_links(self, i: int) -> List[Link]:
         """Decode message *i*'s route back to :class:`Link` objects."""
         p = int(self.pair_inverse[i])
-        if self.pair_link_ids is not None:
-            lo, hi = int(self.pair_starts[p]), int(self.pair_starts[p + 1])
-            ids = self.pair_link_ids[lo:hi]
-        else:
-            _, _, ids = _route_arrays(
-                self.torus.dims,
-                self.pair_src[p : p + 1],
-                self.pair_dst[p : p + 1],
-            )
-        return [link_of_id(self.torus, int(lid)) for lid in ids]
+        lo, hi = int(self.pair_starts[p]), int(self.pair_starts[p + 1])
+        return [link_of_id(self.torus, int(lid)) for lid in self.pair_link_ids[lo:hi]]
 
 
 # ----------------------------------------------------------------------
@@ -613,7 +528,8 @@ class VectorBackend:
         dims_a = np.asarray(torus.dims, dtype=np.int64)
         step, count = ring_steps_array(pair_src, pair_dst, dims_a)
         pair_hops64 = count.sum(axis=1)
-        total = int(pair_hops64.sum())
+        starts = np.zeros(len(uniq) + 1, dtype=np.int64)
+        np.cumsum(pair_hops64, out=starts[1:])
 
         # Dtype-width audit: link ids, hop counts, and pair indices fit
         # int32 on any torus below 2**31 directed links (~357M nodes);
@@ -633,44 +549,29 @@ class VectorBackend:
         else:
             pair_bytes = np.zeros(0)
 
-        if total <= hop_limit:
-            starts, link_ids64 = _expand_links(
-                torus.dims, pair_src, pair_dst, step, count, pair_hops64
+        # Expansion passes of at most hop_limit hops bound the per-hop
+        # temporaries; each stores its ids and adds its loads.
+        passes = _chunk_bounds(starts, hop_limit)
+        link_ids = np.empty(int(starts[-1]), dtype=idx_t)
+        load_arr = np.zeros(num_links, dtype=np.int64)
+        for lo, hi in zip(passes, passes[1:]):
+            s_lo, s_hi = int(starts[lo]), int(starts[hi])
+            if s_hi == s_lo:
+                continue
+            pass_ids = _expand_links(
+                torus.dims,
+                pair_src[lo:hi],
+                pair_dst[lo:hi],
+                step[lo:hi],
+                count[lo:hi],
+                pair_hops64[lo:hi],
+                starts[lo : hi + 1],
             )
-            chunk_bounds = None
-            if link_ids64.size:
-                load_arr = np.bincount(
-                    link_ids64,
-                    weights=np.repeat(pair_bytes, pair_hops64),
-                    minlength=num_links,
-                ).astype(np.int64)
-            else:
-                load_arr = np.zeros(num_links, dtype=np.int64)
-            link_ids = link_ids64.astype(idx_t)
-        else:
-            # Streaming expansion: bounded chunks, incremental loads.
-            chunk_bounds = _chunk_bounds(pair_hops64, hop_limit)
-            starts = link_ids = None
-            load_arr = np.zeros(num_links, dtype=np.int64)
-            n_chunks = len(chunk_bounds) - 1
-            for i in range(n_chunks):
-                lo, hi = int(chunk_bounds[i]), int(chunk_bounds[i + 1])
-                _, c_ids = _expand_links(
-                    torus.dims,
-                    pair_src[lo:hi],
-                    pair_dst[lo:hi],
-                    step[lo:hi],
-                    count[lo:hi],
-                    pair_hops64[lo:hi],
-                )
-                if not c_ids.size:
-                    continue
-                weights = np.repeat(pair_bytes[lo:hi], pair_hops64[lo:hi])
-                load_arr += np.bincount(
-                    c_ids, weights=weights, minlength=num_links
-                ).astype(np.int64)
-            _STREAMED.inc()
-            _CHUNKS.inc(n_chunks)
+            link_ids[s_lo:s_hi] = pass_ids
+            weights = np.repeat(pair_bytes[lo:hi], pair_hops64[lo:hi])
+            load_arr += np.bincount(
+                pass_ids, weights=weights, minlength=num_links
+            ).astype(np.int64)
 
         loads = LinkLoadVector(torus, load_arr)
         max_link = loads.max_load()
@@ -692,7 +593,6 @@ class VectorBackend:
             pair_dst,
             starts,
             link_ids,
-            chunk_bounds,
             load_arr,
         )
         routed = RoutedExchange(
@@ -707,7 +607,7 @@ class VectorBackend:
             pair_dst=pair_dst,
             pair_starts=starts,
             pair_link_ids=link_ids,
-            chunk_bounds=chunk_bounds,
+            num_chunks=len(passes) - 1,
             member_bounds=bounds,
             member_pair_bounds=tuple(member_pairs.tolist()),
         )
@@ -723,12 +623,10 @@ class VectorBackend:
         """Price one member's round with the :mod:`repro.netsim.contention` model.
 
         Member *member* of the routed set (the only one of a lone
-        exchange) is priced against *loads*. Bit-identical to the
-        reference :func:`~repro.verify.reference.netsim.round_time`:
-        every elementwise expression reproduces its operation order.
-        Streamed exchanges re-expand their routes chunk by chunk; the
-        per-pair worst-link maximum is order-independent, so the result
-        is identical to the one-shot form.
+        exchange) is priced against *loads*, from its slice of the
+        stored routes. Bit-identical to the reference
+        :func:`~repro.verify.reference.netsim.round_time`: every
+        elementwise expression reproduces its operation order.
         """
         m_lo, m_hi = routed.member_bounds[member : member + 2]
         if m_hi == m_lo:
@@ -736,17 +634,18 @@ class VectorBackend:
                 time=0.0, ideal_time=0.0, average_hops=0.0, max_link_bytes=0
             )
         p_lo, p_hi = routed.member_pair_bounds[member : member + 2]
+        starts = routed.pair_starts[p_lo : p_hi + 1]
+        s_lo, s_hi = int(starts[0]), int(starts[-1])
         worst_pair = np.zeros(p_hi - p_lo, dtype=np.int64)
-        for lo, hi, starts, link_ids in routed.iter_link_chunks(p_lo, p_hi):
-            if not link_ids.size:
-                continue
-            nonzero = routed.pair_hops[lo:hi] > 0
-            per_hop = loads.array[link_ids]
+        if s_hi > s_lo:
+            nonzero = routed.pair_hops[p_lo:p_hi] > 0
+            per_hop = loads.array[routed.pair_link_ids[s_lo:s_hi]]
             # Segments are contiguous and zero-hop segments are empty, so
             # the starts of the non-empty segments partition the flat
             # array exactly.
-            view = worst_pair[lo - p_lo : hi - p_lo]
-            view[nonzero] = np.maximum.reduceat(per_hop, starts[:-1][nonzero])
+            worst_pair[nonzero] = np.maximum.reduceat(
+                per_hop, starts[:-1][nonzero] - s_lo
+            )
         worst = worst_pair[routed.pair_inverse[m_lo:m_hi] - p_lo]
         hops = routed.hops[m_lo:m_hi]
         t = machine.software_latency + hops * machine.per_hop_latency
@@ -779,7 +678,7 @@ def route_batch(
     the kernel benchmarks build their own messages and route them here,
     then price with :meth:`VectorBackend.round_estimate`. Nothing is
     cached, so a cached entry can never mask the path under test;
-    *max_expand_hops* forces the streamed expansion at any chunk limit
+    *max_expand_hops* forces expansion passes of at most that many hops
     (default: the budget's :func:`~repro.netsim.budget.expansion_hop_limit`).
     """
     if max_expand_hops is None:

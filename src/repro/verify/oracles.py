@@ -35,8 +35,9 @@ Registered invariants
     ``route_messages`` -> ``round_time``) agree exactly on a halo
     exchange drawn from the scenario's own placement.
 ``netsim-streaming-parity``
-    Chunked expansion under a deliberately tiny hop limit reproduces the
-    one-shot result — loads, summaries, and round estimate — bit-for-bit.
+    Routes built in passes under a deliberately tiny hop limit reproduce
+    the one-pass result — loads, summaries, and round estimate —
+    bit-for-bit.
 ``report-sanity``
     All reported times/waits/hops are finite and non-negative and the
     report's identity fields match the plan and machine.
@@ -403,14 +404,14 @@ def check_netsim_parity(run: ScenarioRun) -> None:
 
 @oracle("netsim-streaming-parity")
 def check_netsim_streaming_parity(run: ScenarioRun) -> None:
-    """Streamed routing is bit-identical to the one-shot path.
+    """Routes built in many expansion passes price like one pass.
 
     Routes a scenario-drawn exchange twice through
-    :func:`~repro.netsim.engine.route_batch`: once one-shot, once with a
-    hop limit small enough to force chunking. The per-link load vectors
-    and the round estimate must match exactly — the memory budget may change
-    *how* the answer is computed, never the answer (see
-    ``docs/cost_model.md``).
+    :func:`~repro.netsim.engine.route_batch`: once at the budget's hop
+    limit, in one pass, and once in passes of at most 7 hops. The
+    stored routes, the per-link load vectors and the round estimate must
+    match exactly — the memory budget may change *how* the answer is
+    computed, never the answer (see ``docs/cost_model.md``).
     """
     grid, rect, nx, ny = _parity_exchange(run)
     batch = halo_batch(grid, rect, nx, ny, HaloSpec())
@@ -423,19 +424,23 @@ def check_netsim_streaming_parity(run: ScenarioRun) -> None:
     routed_c, loads_c = route_batch(torus, vector, batch, max_expand_hops=7)
     _require(
         bool((loads_c.array == loads_o.array).all()),
-        "streamed link loads differ from the one-shot loads",
+        "multi-pass link loads differ from the one-pass loads",
+    )
+    _require(
+        bool((routed_c.pair_link_ids == routed_o.pair_link_ids).all()),
+        "multi-pass stored routes differ from the one-pass routes",
     )
     _require(
         loads_c.max_load() == loads_o.max_load()
         and loads_c.total_bytes() == loads_o.total_bytes(),
-        f"streamed load summary ({loads_c.max_load()}, {loads_c.total_bytes()})"
-        f" != one-shot ({loads_o.max_load()}, {loads_o.total_bytes()})",
+        f"multi-pass load summary ({loads_c.max_load()}, {loads_c.total_bytes()})"
+        f" != one-pass ({loads_o.max_load()}, {loads_o.total_bytes()})",
     )
     est_o = VECTOR.round_estimate(routed_o, loads_o, run.machine)
     est_c = VECTOR.round_estimate(routed_c, loads_c, run.machine)
     _require(
         est_c == est_o,
-        f"streamed round estimate {est_c!r} != one-shot {est_o!r}",
+        f"multi-pass round estimate {est_c!r} != one-pass {est_o!r}",
     )
 
 

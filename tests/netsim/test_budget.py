@@ -43,16 +43,7 @@ def test_hop_limit_floor():
 
 
 def test_cache_budgets_derive_from_total(monkeypatch):
-    monkeypatch.delenv("REPRO_NETSIM_ROUTE_CACHE_MB", raising=False)
     monkeypatch.setenv("REPRO_NETSIM_MEM_MB", "128")
     assert route_cache_budget_bytes() == 32 * 2**20
     assert placement_cache_budget_bytes() == 16 * 2**20
 
-
-def test_cache_budget_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_NETSIM_MEM_MB", "128")
-    monkeypatch.setenv("REPRO_NETSIM_ROUTE_CACHE_MB", "7")
-    assert route_cache_budget_bytes() == 7 * 2**20
-    # Only the route cache has an override; the placement cache keeps
-    # its eighth of the overall budget.
-    assert placement_cache_budget_bytes() == 16 * 2**20

@@ -207,7 +207,7 @@ def test_shared_nodes_price_like_members_alone():
 
 
 def test_streamed_set_prices_like_one_shot(monkeypatch):
-    """Chunks that straddle members price each member exactly."""
+    """Expansion passes that straddle members price each member exactly."""
     grid = ProcessGrid(32, 16)
     torus = Torus3D((8, 8, 8))
     placement = oblivious(grid, torus)
@@ -215,14 +215,15 @@ def test_streamed_set_prices_like_one_shot(monkeypatch):
     domains = ((400, 300), (250, 300), (150, 300))
     exchanges = tuple((r, *d) for r, d in zip(rects, domains))
     one_shot = VECTOR.route_exchange(torus, placement, grid, exchanges, SPEC, MACHINE)
-    assert not one_shot[0].streamed
+    assert one_shot[0].num_chunks == 1
 
     reset_route_cache()
     monkeypatch.setenv("REPRO_NETSIM_MEM_MB", "0.001")  # the 1024-hop floor
     routed, loads, estimates = VECTOR.route_exchange(
         torus, placement, grid, exchanges, SPEC, MACHINE
     )
-    assert routed.streamed and routed.num_chunks > len(rects)
+    assert routed.num_chunks > len(rects)
+    np.testing.assert_array_equal(routed.pair_link_ids, one_shot[0].pair_link_ids)
     np.testing.assert_array_equal(loads.array, one_shot[1].array)
     assert estimates == one_shot[2]
     assert [_cost(e, SPEC.rounds_per_step) for e in estimates] == cold_costs(
@@ -267,7 +268,8 @@ def exchange_set(draw):
 @given(exchange_set(), st.integers(1, 24))
 @settings(max_examples=150, deadline=None)
 def test_set_prices_like_members_routed_alone(case, hop_limit):
-    """Any set, streamed at any hop limit, prices like its members alone."""
+    """Any set, built in passes of any hop limit, prices like its members
+    alone and stores their routes."""
     torus, grid, placement, exchanges, spec = case
     alone = [
         route_batch(
@@ -294,10 +296,14 @@ def test_set_prices_like_members_routed_alone(case, hop_limit):
     assert routed.member_bounds == tuple(
         np.cumsum([0] + [len(r) for r, _ in alone]).tolist()
     )
-    # Pairs are deduplicated within a member, so the set expands exactly
-    # its members' pair hops.
+    # Pairs are deduplicated within a member, so the set stores exactly
+    # its members' routes, and takes more than one pass only when their
+    # hops exceed the limit.
+    np.testing.assert_array_equal(
+        routed.pair_link_ids, np.concatenate([r.pair_link_ids for r, _ in alone])
+    )
     set_hops = sum(int(r.pair_hops.sum()) for r, _ in alone)
-    assert routed.streamed == (set_hops > hop_limit)
+    assert (routed.num_chunks > 1) == (set_hops > hop_limit)
 
 
 def test_one_rank_member_is_free_and_unkeyed():

@@ -1,11 +1,12 @@
-"""Hypothesis parity: streamed routing vs one-shot vs reference.
+"""Hypothesis parity: routes built in passes vs one pass vs reference.
 
-The streaming engine's whole claim is *bit-identicality*: chunked
-expansion under any ``max_expand_hops`` and the one-shot path must
-produce the same per-link loads and the same round estimate, and the
-memory budget must never change a route-cache key. These suites drive
-all of that against random exchanges, plus the overflow guards at the
-dtype boundaries (>2^31 widens, never wraps; >=2^53 raises).
+The memory budget splits route expansion into passes of at most
+``max_expand_hops`` hops, and its whole claim is *bit-identicality*: at
+any limit the engine must store the same routes and produce the same
+per-link loads and round estimate as one pass, and the budget must never
+change a route-cache key. These suites drive all of that against random
+exchanges, plus the overflow guards at the dtype boundaries (>2^31
+widens, never wraps; >=2^53 raises).
 
 Cases are drawn as coordinate tuples and :class:`HaloMessage` lists (the
 reference simulator's form); the engine gets the same exchange as a
@@ -77,7 +78,7 @@ def exchange_case(draw):
 
 
 def one_shot(torus, nodes, msgs):
-    """The one-shot result (hop limit beyond any case)."""
+    """The one-pass result (hop limit beyond any case)."""
     return streamed(torus, nodes, msgs, max_expand_hops=10**9)
 
 
@@ -117,21 +118,32 @@ def test_streamed_matches_scalar_oracle(case, max_hops):
         assert routed.message_links(i) == list(scalar_msg.links)
 
 
-@given(exchange_case(), st.integers(1, 20))
+def greedy_passes(pair_hops, limit):
+    """Passes of a greedy packing: a pair opens a new pass when it would
+    take a non-empty pass past *limit* hops."""
+    passes, pairs, used = 1, 0, 0
+    for h in pair_hops.tolist():
+        if pairs and used + h > limit:
+            passes, pairs, used = passes + 1, 0, 0
+        pairs, used = pairs + 1, used + h
+    return passes
+
+
+@given(exchange_case(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_streamed_chunk_iteration_consistent(case, max_hops):
-    """iter_link_chunks re-expansion equals the stored one-shot arrays."""
+def test_passes_store_the_one_pass_routes(case, data):
+    """At any limit from 1 hop up to one pass, the stored routes equal
+    the one-pass arrays, built in the greedy number of passes."""
     torus, nodes, msgs = case
     ref, _ = one_shot(torus, nodes, msgs)
+    total = int(ref.pair_hops.sum())
+    max_hops = data.draw(st.integers(1, max(1, total)), label="max_hops")
     routed, _ = streamed(torus, nodes, msgs, max_expand_hops=max_hops)
-    chunks = list(routed.iter_link_chunks())
-    ids = np.concatenate([c[3] for c in chunks]) if chunks else np.zeros(0)
-    assert np.array_equal(ids, ref.pair_link_ids)
-    # Chunk boundaries tile the pair range exactly.
-    assert chunks[0][0] == 0
-    assert chunks[-1][1] == len(routed.pair_hops)
-    for (_, hi_a, _, _), (lo_b, _, _, _) in zip(chunks, chunks[1:]):
-        assert hi_a == lo_b
+    assert ref.num_chunks == 1
+    assert np.array_equal(routed.pair_starts, ref.pair_starts)
+    assert np.array_equal(routed.pair_link_ids, ref.pair_link_ids)
+    assert routed.pair_link_ids.dtype == ref.pair_link_ids.dtype
+    assert routed.num_chunks == greedy_passes(routed.pair_hops, max_hops)
 
 
 @pytest.mark.parametrize("backend", ["vector", "scalar"])

@@ -186,12 +186,12 @@ def test_cached_estimate_divergence_caught(good_run, monkeypatch):
 
 
 def test_one_byte_streaming_divergence_caught(good_run, monkeypatch):
-    """The streamed path routes one extra byte on one inter-node message."""
+    """The multi-pass build routes one extra byte on one inter-node message."""
     real = oracle_mod.route_batch
     nodes = good_run.placement.vector.coords
 
     def one_byte_more(torus, placed, batch, **kwargs):
-        if kwargs.get("max_expand_hops") is None:  # the one-shot side
+        if kwargs.get("max_expand_hops") is None:  # the one-pass side
             return real(torus, placed, batch, **kwargs)
         crosses = (nodes[batch.src] != nodes[batch.dst]).any(axis=1)
         nbytes = batch.nbytes.copy()
@@ -200,7 +200,24 @@ def test_one_byte_streaming_divergence_caught(good_run, monkeypatch):
         return real(torus, placed, bumped, **kwargs)
 
     monkeypatch.setattr(oracle_mod, "route_batch", one_byte_more)
-    with pytest.raises(OracleViolation, match="streamed link loads differ"):
+    with pytest.raises(OracleViolation, match="multi-pass link loads differ"):
+        get_oracle("netsim-streaming-parity")(good_run)
+
+
+def test_misstored_multi_pass_route_caught(good_run, monkeypatch):
+    """The multi-pass build sums the right loads but stores every hop's
+    link in the opposite direction."""
+    real = oracle_mod.route_batch
+
+    def flipped(torus, placed, batch, **kwargs):
+        routed, loads = real(torus, placed, batch, **kwargs)
+        if kwargs.get("max_expand_hops") is None:  # the one-pass side
+            return routed, loads
+        ids = routed.pair_link_ids ^ 1
+        return dataclasses.replace(routed, pair_link_ids=ids), loads
+
+    monkeypatch.setattr(oracle_mod, "route_batch", flipped)
+    with pytest.raises(OracleViolation, match="multi-pass stored routes differ"):
         get_oracle("netsim-streaming-parity")(good_run)
 
 
